@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Run a fixed set of CLI commands against two source trees and list the
+output files whose bytes differ.
+
+Each tree's commands run in one fresh interpreter that imports
+`cavity_transit` from that tree alone: mode-image, position, frequency and
+fixed-coupling scans, degeneracy, ensemble, thermometry from an ensemble
+and from fits, 12 transits with background, a single fit and a batch fit.
+The exit code of every command is written to `exit_codes.txt` and compared
+like any other output.  For a differing CSV with the same row count, the
+number of differing rows and the largest relative difference of its
+numeric fields are printed too.
+
+Usage: python scripts/compare_cli_outputs.py SRC_A SRC_B
+
+SRC_A and SRC_B are `src` directories (for example the one of this checkout
+and the one of an exported parent commit).  Exits 0 when every file is
+byte-identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BACKGROUND = "--background-cps=200000.0"
+
+COMMANDS = [
+    ["mode-image", "--out=mode_image.csv"],
+    ["scan", "--axis=pos", "--y=0", "--out=scan_pos_y0.csv"],
+    ["scan", "--axis=pos", "--y=-16.3", "--out=scan_pos_y-16.3.csv"],
+    ["scan", "--axis=freq", "--out=scan_freq_node.csv"],
+    ["scan", "--axis=freq", "--x=10", "--y=10", "--out=scan_freq_lobe.csv"],
+    ["scan", "--axis=freq", "--x=16.83", "--y=0", "--tilt-deg=0", "--out=scan_freq_peak.csv"],
+    ["scan", "--axis=freq", "--x=5", "--y=-8", "--delta-ca=3", "--out=scan_freq_dca_minus.csv"],
+    [
+        "scan", "--axis=freq", "--x=5", "--y=-8", "--delta-ca=3", "--cross-term-sign=1",
+        "--out=scan_freq_dca_plus.csv",
+    ],
+    ["scan", "--axis=freq", "--g=20.5", "--out=scan_g20.5.csv"],
+    ["scan", "--axis=freq", "--g=0", "--delta-ca=0", "--out=scan_g0.csv"],
+    ["degeneracy", "--y=10", "--v=0.42", "--out=degeneracy_y10.json"],
+    ["degeneracy", "--y=0", "--v=0.42", "--z=50", "--out=degeneracy_y0.json"],
+    ["ensemble", "--n=2000", "--seed=5", "--out=ensemble.csv"],
+    ["thermometry", "--ensemble=ensemble.csv", "--out=temperature_ensemble.json"],
+    *[
+        [
+            "transit", f"--y={-20.0 + 3.5 * i!r}", f"--v={0.36 + 0.01 * i!r}",
+            f"--tc={1e-4 * (i % 3)!r}", BACKGROUND, f"--seed={i}", f"--out=traces/release_{i:02d}.csv",
+        ]
+        for i in range(12)
+    ],
+    ["fit", "--trace=traces/release_00.csv", BACKGROUND, "--out=fit_single.json"],
+    ["fit", "--trace=traces", BACKGROUND, "--out=fits"],
+    ["thermometry", "--fits=fits", "--out=temperature_fits.json"],
+]
+
+# Runs inside the fresh interpreter: argv is (src, outdir).
+DRIVER = """
+import sys
+src, outdir = sys.argv[1], sys.argv[2]
+sys.path.insert(0, src)
+import os
+os.chdir(outdir)
+os.makedirs("traces", exist_ok=True)
+from cavity_transit.cli import main
+codes = []
+for argv in COMMANDS:
+    codes.append(f"{main(argv)} {' '.join(argv)}")
+with open("exit_codes.txt", "w") as f:
+    f.write("\\n".join(codes) + "\\n")
+"""
+
+
+def run_tree(src: Path, outdir: Path) -> None:
+    outdir.mkdir(parents=True)
+    code = f"COMMANDS = {COMMANDS!r}\n" + DRIVER
+    subprocess.run([sys.executable, "-c", code, str(src), str(outdir)], check=True)
+
+
+def _fields(line: str):
+    out = []
+    for f in line.split(","):
+        try:
+            out.append(float(f))
+        except ValueError:
+            out.append(f)
+    return out
+
+
+def csv_difference(a: Path, b: Path):
+    """(differing rows, largest relative difference) or None when the files
+    do not line up row for row and field for field."""
+    la, lb = a.read_text().splitlines(), b.read_text().splitlines()
+    if len(la) != len(lb):
+        return None
+    rows, worst = 0, 0.0
+    for ra, rb in zip(la, lb):
+        if ra == rb:
+            continue
+        rows += 1
+        fa, fb = _fields(ra), _fields(rb)
+        if len(fa) != len(fb):
+            return None
+        for x, y in zip(fa, fb):
+            if x == y:
+                continue
+            if not (isinstance(x, float) and isinstance(y, float)):
+                return None
+            scale = max(abs(x), abs(y))
+            worst = max(worst, abs(x - y) / scale if scale else math.inf)
+    return rows, worst
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    n_diff = 0
+    for rel in sorted(files_a ^ files_b):
+        print(f"only in {'A' if rel in files_a else 'B'}: {rel}")
+        n_diff += 1
+    for rel in sorted(files_a & files_b):
+        a, b = dir_a / rel, dir_b / rel
+        if a.read_bytes() == b.read_bytes():
+            continue
+        n_diff += 1
+        detail = csv_difference(a, b) if rel.suffix == ".csv" else None
+        if detail is None:
+            print(f"differs: {rel}")
+        else:
+            print(f"differs: {rel} ({detail[0]} rows, max relative difference {detail[1]:.3g})")
+    n_same = len(files_a & files_b) - (n_diff - len(files_a ^ files_b))
+    print(f"{n_same} identical, {n_diff} differing or missing")
+    return 1 if n_diff else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_a", type=Path)
+    parser.add_argument("src_b", type=Path)
+    args = parser.parse_args()
+    for src in (args.src_a, args.src_b):
+        if not (src / "cavity_transit" / "__init__.py").is_file():
+            parser.error(f"{src} holds no cavity_transit package")
+    with tempfile.TemporaryDirectory() as tmp:
+        dir_a, dir_b = Path(tmp) / "a", Path(tmp) / "b"
+        run_tree(args.src_a.resolve(), dir_a)
+        run_tree(args.src_b.resolve(), dir_b)
+        return compare(dir_a, dir_b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,7 +2,8 @@
 
 Every command is a thin deterministic wrapper over one library operation:
 outputs depend only on the configuration file, flags and seed.  Exit codes:
-0 success, 2 validation error, 3 fit non-convergence.
+0 success, 2 validation error, 3 fit non-convergence.  A batch fit goes on past
+a bad file and exits 2 if any file failed, else 3 if any fit did not converge.
 """
 
 from __future__ import annotations
@@ -117,17 +118,8 @@ def cmd_scan(args) -> int:
         if args.g is not None:
             if args.g < 0:
                 raise ConfigError(f"--g must be non-negative, got {args.g}")
-            T = np.array(
-                [
-                    transmission_vs_coupling(
-                        args.g,
-                        cfg.rates,
-                        Detunings(d, cfg.detunings.delta_ca),
-                        cfg.cross_term_sign,
-                    )
-                    for d in deltas
-                ]
-            )
+            detunings = Detunings(deltas, cfg.detunings.delta_ca)
+            T = transmission_vs_coupling(args.g, cfg.rates, detunings, cfg.cross_term_sign)
         else:
             deltas, T = detuning_scan(
                 cfg, LabPoint(args.x, args.y, 0.0), (args.delta_min, args.delta_max), args.samples
@@ -142,8 +134,8 @@ def _trajectory_from_args(args) -> Trajectory:
 
 def cmd_transit(args) -> int:
     rc = _build_config(args)
-    trace = expected_trace(system_config(rc), _trajectory_from_args(args), detector_config(rc))
     det = detector_config(rc)
+    trace = expected_trace(system_config(rc), _trajectory_from_args(args), det)
     trace = sample_counts(trace, det, rc.seed)
     fileio.write_trace_csv(_out_path(rc, "trace.csv"), trace)
     return EXIT_OK
@@ -160,20 +152,22 @@ def cmd_fit(args) -> int:
             raise ConfigError(f"no trace CSV files found in {trace_path}")
         outdir = _out_path(rc, "fits")
         outdir.mkdir(parents=True, exist_ok=True)
-        status = EXIT_OK
-        for path in inputs:
+        jobs = [(path, outdir / (path.stem + ".json")) for path in inputs]
+    else:
+        jobs = [(trace_path, _out_path(rc, "fit.json"))]
+    failed = stuck = False
+    for path, out in jobs:
+        try:
             result = fit_transit(cfg, det, fileio.read_trace_csv(path), flux0_cps=args.flux0_known)
-            fileio.write_fit_json(outdir / (path.stem + ".json"), result)
-            if not result.converged:
-                print(f"fit of {path.name} did not converge", file=sys.stderr)
-                status = EXIT_NO_CONVERGENCE
-        return status
-    result = fit_transit(cfg, det, fileio.read_trace_csv(trace_path), flux0_cps=args.flux0_known)
-    fileio.write_fit_json(_out_path(rc, "fit.json"), result)
-    if not result.converged:
-        print("fit did not converge; best-so-far parameters written", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+        except (ValueError, OSError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            failed = True
+            continue
+        fileio.write_fit_json(out, result)
+        if not result.converged:
+            print(f"{path}: fit did not converge; best-so-far parameters written", file=sys.stderr)
+            stuck = True
+    return EXIT_VALIDATION if failed else EXIT_NO_CONVERGENCE if stuck else EXIT_OK
 
 
 def cmd_degeneracy(args) -> int:

@@ -78,16 +78,14 @@ def expected_trace(cfg: SystemConfig, tr: Trajectory, det: DetectorConfig) -> Tr
     return TransitTrace(t=t, expected_T=transmission_at(cfg, p))
 
 
-def sample_counts(trace: TransitTrace, det: DetectorConfig, seed: int) -> TransitTrace:
-    """Draw Poisson counts for each bin; deterministic for a given seed.
-
-    The per-bin mean is (flux0 * T + background) * bin_width.
-    """
-    rng = np.random.default_rng(seed)
-    lam = (det.flux0_cps * trace.expected_T + det.background_cps) * det.bin_width_us * 1e-6
-    return replace(trace, counts=rng.poisson(lam).astype(np.int64))
-
-
 def expected_bin_counts(trace: TransitTrace, det: DetectorConfig) -> np.ndarray:
-    """Per-bin Poisson means for a trace under a detector configuration."""
+    """Per-bin Poisson means (flux0 * T + background) * bin_width for a trace
+    under a detector configuration."""
     return (det.flux0_cps * trace.expected_T + det.background_cps) * det.bin_width_us * 1e-6
+
+
+def sample_counts(trace: TransitTrace, det: DetectorConfig, seed: int) -> TransitTrace:
+    """Draw Poisson counts with the means of `expected_bin_counts`;
+    deterministic for a given seed."""
+    rng = np.random.default_rng(seed)
+    return replace(trace, counts=rng.poisson(expected_bin_counts(trace, det)).astype(np.int64))

@@ -1,12 +1,16 @@
 """CSV and JSON wire formats shared by the simulator, fitter and CLI.
 
 Floats are written with 17 significant digits so every file round-trips to
-the exact double that produced it.
+the exact double that produced it.  Each CSV is a header line plus one row
+per record, written by `_write_csv` and streamed back by `_read_csv`, which
+names the line of any malformed row.  JSON files hold the
+`dataclasses.asdict` form of a result, written by `_write_json`.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,9 @@ from .detector import TransitTrace
 from .kinematics import EnsembleRecord
 from .reconstruct import FitResult
 from .thermometry import TemperatureEstimate
+
+_TRACE_HEADER = "t_s,expected_T,counts"
+_ENSEMBLE_HEADER = "v0_mps,t_arr_ms,v_arr_mps"
 
 
 class CsvFormatError(ValueError):
@@ -25,48 +32,80 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Write the header line and one line per formatted row."""
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
+
+
+def _read_csv(path, header: str, parse_row):
+    """Yield (line number, parse_row(fields)) for each non-blank data row.
+
+    The first line must equal the header, and every row must have as many
+    fields as the header.  A ValueError from parse_row becomes a
+    CsvFormatError naming the line.
+    """
+    path = Path(path)
+    n_fields = header.count(",") + 1
+    with path.open() as f:
+        if f.readline().strip() != header:
+            raise CsvFormatError(f"{path}:1: expected header {header!r}")
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != n_fields:
+                raise CsvFormatError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+            try:
+                yield lineno, parse_row(parts)
+            except ValueError as exc:
+                raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
+
+
+def _write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
 def write_scan_csv(path, axis_name: str, axis_values, transmissions) -> None:
     """Scan output: header `x_um,T` or `delta_pa_mhz,T`, one row per sample."""
-    lines = [f"{axis_name},T"]
-    lines += [f"{_fmt(a)},{_fmt(T)}" for a, T in zip(axis_values, transmissions)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (f"{_fmt(a)},{_fmt(T)}" for a, T in zip(axis_values, transmissions))
+    _write_csv(path, f"{axis_name},T", rows)
 
 
 def write_trace_csv(path, trace: TransitTrace) -> None:
     """Trace format `t_s,expected_T,counts`; counts column empty until sampled."""
-    lines = ["t_s,expected_T,counts"]
-    if trace.counts is None:
-        lines += [f"{_fmt(t)},{_fmt(T)}," for t, T in zip(trace.t, trace.expected_T)]
-    else:
-        lines += [
-            f"{_fmt(t)},{_fmt(T)},{int(k)}"
-            for t, T, k in zip(trace.t, trace.expected_T, trace.counts)
-        ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    counts = [""] * len(trace) if trace.counts is None else map(int, trace.counts)
+    rows = (f"{_fmt(t)},{_fmt(T)},{k}" for t, T, k in zip(trace.t, trace.expected_T, counts))
+    _write_csv(path, _TRACE_HEADER, rows)
+
+
+def _trace_row(parts):
+    return float(parts[0]), float(parts[1]), None if parts[2] == "" else int(parts[2])
 
 
 def read_trace_csv(path) -> TransitTrace:
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != "t_s,expected_T,counts":
-        raise CsvFormatError(f"{path}:1: expected header 't_s,expected_T,counts'")
-    t, T, counts = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise CsvFormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            t.append(float(parts[0]))
-            T.append(float(parts[1]))
-            counts.append(None if parts[2] == "" else int(parts[2]))
-        except ValueError as exc:
-            raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
+    """Read a trace; its times must be finite, strictly increasing and
+    uniformly spaced, each step within 1e-6 of the median step."""
+    linenos, t, T, counts = [], [], [], []
+    for lineno, (ti, Ti, ki) in _read_csv(path, _TRACE_HEADER, _trace_row):
+        linenos.append(lineno)
+        t.append(ti)
+        T.append(Ti)
+        counts.append(ki)
+
+    def fail(i, message):
+        raise CsvFormatError(f"{path}:{linenos[i]}: {message}")
+
+    median = float(np.median(np.diff(t))) if len(t) > 1 else 0.0
+    for i, ti in enumerate(t):
+        if not np.isfinite(ti):
+            fail(i, f"time {ti!r} is not finite")
+        if i and ti <= t[i - 1]:
+            fail(i, f"time {ti!r} does not follow {t[i - 1]!r}")
+        if i and abs(ti - t[i - 1] - median) > 1e-6 * median:
+            fail(i, f"time step {ti - t[i - 1]!r} differs from the median step {median!r}")
     has_counts = [c is not None for c in counts]
     if any(has_counts) and not all(has_counts):
-        first_bad = has_counts.index(False) + 2
-        raise CsvFormatError(f"{path}:{first_bad}: counts column is only partially filled")
+        fail(has_counts.index(False), "counts column is only partially filled")
     return TransitTrace(
         t=np.array(t),
         expected_T=np.array(T),
@@ -76,32 +115,20 @@ def read_trace_csv(path) -> TransitTrace:
 
 def write_ensemble_csv(path, records) -> None:
     """Ensemble format `v0_mps,t_arr_ms,v_arr_mps`."""
-    lines = ["v0_mps,t_arr_ms,v_arr_mps"]
-    lines += [f"{_fmt(r.v0_mps)},{_fmt(r.t_arr_ms)},{_fmt(r.v_arr_mps)}" for r in records]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (f"{_fmt(r.v0_mps)},{_fmt(r.t_arr_ms)},{_fmt(r.v_arr_mps)}" for r in records)
+    _write_csv(path, _ENSEMBLE_HEADER, rows)
+
+
+def _ensemble_row(parts):
+    return EnsembleRecord(float(parts[0]), float(parts[1]), float(parts[2]))
 
 
 def read_ensemble_csv(path) -> list[EnsembleRecord]:
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != "v0_mps,t_arr_ms,v_arr_mps":
-        raise CsvFormatError(f"{path}:1: expected header 'v0_mps,t_arr_ms,v_arr_mps'")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise CsvFormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            records.append(EnsembleRecord(float(parts[0]), float(parts[1]), float(parts[2])))
-        except ValueError as exc:
-            raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
-    return records
+    return [record for _, record in _read_csv(path, _ENSEMBLE_HEADER, _ensemble_row)]
 
 
 def write_fit_json(path, result: FitResult) -> None:
-    Path(path).write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+    _write_json(path, result.to_dict())
 
 
 def read_fit_json(path) -> FitResult:
@@ -109,38 +136,18 @@ def read_fit_json(path) -> FitResult:
 
 
 def write_temperature_json(path, est: TemperatureEstimate) -> None:
-    Path(path).write_text(
-        json.dumps(
-            {
-                "temperature_k": est.temperature_k,
-                "sigma_t_k": est.sigma_t_k,
-                "n_used": est.n_used,
-                "v_min_mps": est.v_min_mps,
-                "t_min_ms": est.t_min_ms,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    _write_json(path, asdict(est))
 
 
 def write_degeneracy_json(path, reports) -> None:
-    Path(path).write_text(
-        json.dumps(
-            [
-                {"transform": r.transform, "sup_diff": r.sup_diff, "degenerate": r.degenerate}
-                for r in reports
-            ],
-            indent=2,
-        )
-        + "\n"
-    )
+    _write_json(path, [asdict(r) for r in reports])
 
 
 def write_mode_image_csv(path, x_um, y_um, intensity) -> None:
     """Mode image grid: `x_um,y_um,intensity`, row-major over y then x."""
-    lines = ["x_um,y_um,intensity"]
-    for j, yv in enumerate(y_um):
-        for i, xv in enumerate(x_um):
-            lines.append(f"{_fmt(xv)},{_fmt(yv)},{_fmt(intensity[j, i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        f"{_fmt(xv)},{_fmt(yv)},{_fmt(intensity[j, i])}"
+        for j, yv in enumerate(y_um)
+        for i, xv in enumerate(x_um)
+    )
+    _write_csv(path, "x_um,y_um,intensity", rows)

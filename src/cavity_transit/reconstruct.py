@@ -9,7 +9,7 @@ the mirror trajectory is excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,8 +33,6 @@ REFINE_REL_TOL = 1e-5
 SIGN_RESOLVE_MARGIN = 1.0  # log-likelihood units
 
 DIP_DEPTH_MIN = 0.5  # fraction of baseline the smoothed minimum must fall below
-
-KNOWN_TRANSFORMS = ("y-mirror", "z-antinode-shift", "z-mirror")
 
 
 class NoTransitError(ValueError):
@@ -67,31 +65,15 @@ class FitResult:
         return self.log_lik - self.mirror_log_lik >= SIGN_RESOLVE_MARGIN
 
     def to_dict(self) -> dict:
-        return {
-            "y_off_um": self.params.y_off_um,
-            "v_mps": self.params.v_mps,
-            "t_c_s": self.params.t_c_s,
-            "sigma_y_um": self.sigma_y_um,
-            "sigma_v_mps": self.sigma_v_mps,
-            "sigma_tc_s": self.sigma_tc_s,
-            "log_lik": self.log_lik,
-            "mirror_log_lik": self.mirror_log_lik,
-            "converged": self.converged,
-            "n_evals": self.n_evals,
-        }
+        """Flat dict: the FitParams fields, then the others, in declaration order."""
+        d = asdict(self)
+        params = d.pop("params")
+        return {**params, **d}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":
-        return cls(
-            params=FitParams(d["y_off_um"], d["v_mps"], d["t_c_s"]),
-            sigma_y_um=d["sigma_y_um"],
-            sigma_v_mps=d["sigma_v_mps"],
-            sigma_tc_s=d["sigma_tc_s"],
-            log_lik=d["log_lik"],
-            mirror_log_lik=d["mirror_log_lik"],
-            converged=d["converged"],
-            n_evals=d["n_evals"],
-        )
+        params = FitParams(**{f.name: d[f.name] for f in fields(FitParams)})
+        return cls(params, **{f.name: d[f.name] for f in fields(cls) if f.name != "params"})
 
 
 @dataclass(frozen=True)
@@ -104,33 +86,36 @@ class DegeneracyReport:
 
 
 def _bin_rates(cfg: SystemConfig, t, y_um, v_mps, t_c_s, flux0_cps, background_cps, binw_s):
-    """Per-bin Poisson means; broadcasts over parameter arrays."""
+    """Per-bin Poisson means; broadcasts over parameter arrays.  The formula of
+    `detector.expected_bin_counts`, with the bin width taken from the trace's
+    time axis rather than from the detector configuration."""
     x = v_mps * (t - t_c_s) * 1e6
     T = transmission_at(cfg, LabPoint(x, y_um, 0.0))
     return (flux0_cps * T + background_cps) * binw_s
 
 
 def _poisson_loglik(k, lam):
-    """Exact Poisson log-likelihood sum(k ln lam - lam - ln k!).
+    """Poisson log-likelihood sum(k ln lam - lam) over the last axis, without
+    the ln k! constant; broadcasts over the leading axes of lam.
 
     Bins with lam = 0 contribute 0 for k = 0 and -inf otherwise.
     """
-    lam = np.asarray(lam, dtype=float)
-    k = np.asarray(k, dtype=float)
+    if np.all(lam > 0):
+        return np.sum(k * np.log(lam) - lam, axis=-1)
     safe = np.where(lam > 0, lam, 1.0)
     terms = np.where(lam > 0, k * np.log(safe) - lam, np.where(k > 0, -np.inf, 0.0))
-    return float(np.sum(terms) - np.sum(gammaln(k + 1.0)))
+    return np.sum(terms, axis=-1)
 
 
 def log_likelihood(cfg: SystemConfig, det: DetectorConfig, trace: TransitTrace, p: FitParams) -> float:
-    """Poisson log-likelihood of the observed counts under trajectory p."""
+    """Exact Poisson log-likelihood, ln k! included, of the counts under trajectory p."""
     if trace.counts is None:
         raise ValueError("trace has no counts to fit")
     binw_s = _trace_bin_width(trace)
     lam = _bin_rates(
         cfg, trace.t, p.y_off_um, p.v_mps, p.t_c_s, det.flux0_cps, det.background_cps, binw_s
     )
-    return _poisson_loglik(trace.counts, lam)
+    return float(_poisson_loglik(trace.counts, lam) - np.sum(gammaln(trace.counts + 1.0)))
 
 
 def _trace_bin_width(trace: TransitTrace) -> float:
@@ -225,11 +210,7 @@ def fit_transit(
         det.background_cps,
         binw_s,
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grid_ll = np.sum(
-            np.where(lam > 0, k * np.log(np.where(lam > 0, lam, 1.0)) - lam, np.where(k > 0, -np.inf, 0.0)),
-            axis=-1,
-        )
+    grid_ll = _poisson_loglik(k, lam)
     n_evals = grid_ll.size
 
     scale = np.array([w0, 0.1, 5e-5])
@@ -242,7 +223,7 @@ def fit_transit(
         if required_sign and np.sign(y) not in (0.0, required_sign):
             return 1e300
         lam_u = _bin_rates(cfg, t, y, v, tc, flux0_cps, det.background_cps, binw_s)
-        ll = _poisson_loglik_raw(k, lam_u)
+        ll = _poisson_loglik(k, lam_u)
         return -ll if np.isfinite(ll) else 1e300
 
     def refine(start, required_sign=0.0):
@@ -307,16 +288,6 @@ def fit_transit(
     )
 
 
-def _poisson_loglik_raw(k, lam):
-    """Poisson log-likelihood without the ln k! constant (optimizer objective)."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
-        safe = np.where(lam > 0, lam, 1.0)
-        terms = np.where(lam > 0, k * np.log(safe) - lam, np.where(k > 0, -np.inf, 0.0))
-        return float(np.sum(terms))
-    return float(np.sum(k * np.log(lam) - lam))
-
-
 _FISHER_STEPS = np.array([0.05, 0.001, 5e-7])  # um, m/s, s
 
 
@@ -360,6 +331,16 @@ def _fisher_sigma(loglik, p_hat):
     return sigma, n_evals
 
 
+_TRANSFORMS = {
+    "y-mirror": lambda cfg, tr: replace(tr, y_off_um=-tr.y_off_um),
+    "z-antinode-shift": lambda cfg, tr: replace(
+        tr, z_pos_nm=tr.z_pos_nm + cfg.geometry.wavelength_nm / 2.0
+    ),
+    "z-mirror": lambda cfg, tr: replace(tr, z_pos_nm=-tr.z_pos_nm),
+}
+KNOWN_TRANSFORMS = tuple(_TRANSFORMS)
+
+
 def degeneracy_scan(
     cfg: SystemConfig,
     tr: Trajectory,
@@ -375,17 +356,12 @@ def degeneracy_scan(
     """
     det = det or DetectorConfig()
     base = expected_trace(cfg, tr, det).expected_T
-    half_wavelength_nm = cfg.geometry.wavelength_nm / 2.0
     reports = []
     for label in transforms:
-        if label == "y-mirror":
-            other = Trajectory(-tr.y_off_um, tr.v_mps, tr.t_c_s, tr.z_pos_nm)
-        elif label == "z-antinode-shift":
-            other = Trajectory(tr.y_off_um, tr.v_mps, tr.t_c_s, tr.z_pos_nm + half_wavelength_nm)
-        elif label == "z-mirror":
-            other = Trajectory(tr.y_off_um, tr.v_mps, tr.t_c_s, -tr.z_pos_nm)
-        else:
+        transform = _TRANSFORMS.get(label)
+        if transform is None:
             raise ValueError(f"unknown transform {label!r}; known: {KNOWN_TRANSFORMS}")
+        other = transform(cfg, tr)
         sup = float(np.max(np.abs(expected_trace(cfg, other, det).expected_T - base)))
         reports.append(DegeneracyReport(label, sup, sup < threshold))
     return reports

@@ -50,13 +50,14 @@ class Rates:
 
 @dataclass(frozen=True)
 class Detunings:
-    """Probe-atom and cavity-atom detunings in 2pi MHz."""
+    """Probe-atom and cavity-atom detunings in 2pi MHz.  delta_pa may be an
+    array, which evaluates a whole detuning scan in one call."""
 
     delta_pa: float = 0.0
     delta_ca: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta_pa) and np.isfinite(self.delta_ca)):
+        if not (np.all(np.isfinite(self.delta_pa)) and np.all(np.isfinite(self.delta_ca))):
             raise ValueError(f"detunings must be finite, got {self}")
 
 
@@ -83,7 +84,7 @@ class SystemConfig:
 
 
 def transmission_vs_coupling(g_eff, rates: Rates, detunings: Detunings, cross_term_sign: int = -1):
-    """Weak-field transmission for a given effective coupling (scalar or array).
+    """Weak-field transmission for an effective coupling and detunings (scalars or arrays).
 
     Normalized so an empty cavity on resonance transmits 1.
     """
@@ -139,15 +140,8 @@ def detuning_scan(cfg: SystemConfig, p: LabPoint, delta_pa_range_mhz: tuple, sam
     deltas = np.linspace(d0, d1, samples)
     mp = lab_to_mode(p, cfg.geometry.tilt_deg)
     g = effective_coupling(cfg.rates.g0, cfg.mode, cfg.geometry, mp)
-    T = np.array(
-        [
-            transmission_vs_coupling(
-                g, cfg.rates, Detunings(d, cfg.detunings.delta_ca), cfg.cross_term_sign
-            )
-            for d in deltas
-        ]
-    )
-    return deltas, T
+    detunings = Detunings(deltas, cfg.detunings.delta_ca)
+    return deltas, transmission_vs_coupling(g, cfg.rates, detunings, cfg.cross_term_sign)
 
 
 def local_maxima(values) -> np.ndarray:

@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cavity_transit import FitParams, FitResult, ModeGeometry, ModeIndex, ModePoint, mode_amplitude
+from cavity_transit import (
+    Detunings,
+    FitParams,
+    FitResult,
+    ModeGeometry,
+    ModeIndex,
+    ModePoint,
+    Rates,
+    mode_amplitude,
+    transmission_vs_coupling,
+)
 from cavity_transit.cli import main
 from cavity_transit.fileio import read_trace_csv
 
@@ -56,6 +66,15 @@ def test_scan_fixed_zero_coupling_matches_lorentzian(tmp_path):
     for line in lines[1:]:
         d, T = map(float, line.split(","))
         assert abs(T - kappa**2 / (kappa**2 + d**2)) < 1e-12
+
+
+def test_scan_fixed_coupling_matches_pointwise_loop(tmp_path):
+    path = tmp_path / "scan.csv"
+    assert run("scan", "--axis", "freq", "--g", 20.5, "--delta-ca", 3, "--out", path) == 0
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    rates = Rates(23.9, 2.6, 2.6)
+    loop = [transmission_vs_coupling(20.5, rates, Detunings(d, 3.0)) for d in rows[:, 0]]
+    np.testing.assert_allclose(rows[:, 1], loop, rtol=1e-15, atol=0.0)
 
 
 def test_scan_csv_full_precision(tmp_path):
@@ -117,6 +136,7 @@ def test_ensemble_thermometry_pipeline(tmp_path):
     assert ens.read_text().splitlines()[0] == "v0_mps,t_arr_ms,v_arr_mps"
     assert run("thermometry", "--ensemble", ens, "--out", temp) == 0
     est = json.loads(temp.read_text())
+    assert list(est) == ["temperature_k", "sigma_t_k", "n_used", "v_min_mps", "t_min_ms"]
     assert est["temperature_k"] == pytest.approx(186e-6, rel=0.15)
     assert est["n_used"] == 2000
 
@@ -157,6 +177,21 @@ def test_batch_fit_directory_feeds_thermometry(tmp_path):
     assert json.loads(temp.read_text())["n_used"] == 12
 
 
+def test_batch_fit_goes_on_past_a_dipless_trace(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    run("transit", "--y", -16.3, "--v", 0.39, "--seed", 1, "--out", traces / "a.csv")
+    # 200 um off axis the atom never enters the mode: a flat trace
+    run("transit", "--y", 200, "--v", 0.39, "--seed", 2, "--out", traces / "b.csv")
+    run("transit", "--y", 18.0, "--v", 0.42, "--seed", 3, "--out", traces / "c.csv")
+    fits = tmp_path / "fits"
+    assert run("fit", "--trace", traces, "--out", fits) == 2
+    assert sorted(p.name for p in fits.glob("*.json")) == ["a.json", "c.json"]
+    err = capsys.readouterr().err
+    assert f"error: {traces / 'b.csv'}: no transit dip" in err
+    assert "a.csv" not in err and "c.csv" not in err
+
+
 def test_batch_fit_empty_directory(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -184,6 +219,7 @@ def test_degeneracy_report_json(tmp_path):
     out = tmp_path / "deg.json"
     assert run("degeneracy", "--y", 10, "--v", 0.42, "--out", out) == 0
     reports = {r["transform"]: r for r in json.loads(out.read_text())}
+    assert [list(r) for r in reports.values()] == [["transform", "sup_diff", "degenerate"]] * 3
     assert not reports["y-mirror"]["degenerate"]
     assert reports["z-antinode-shift"]["degenerate"]
     assert reports["z-mirror"]["degenerate"]

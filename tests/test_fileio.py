@@ -4,12 +4,16 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_transit import (
     DetectorConfig,
+    EnsembleRecord,
     FallConfig,
     SystemConfig,
     Trajectory,
+    TransitTrace,
     expected_trace,
     sample_counts,
     sample_ensemble,
@@ -75,6 +79,76 @@ def test_wrong_field_count_rejected(tmp_path):
     path.write_text("t_s,expected_T,counts\n0.0,1.0\n")
     with pytest.raises(CsvFormatError, match=":2:"):
         read_trace_csv(path)
+
+
+def _trace_text(times):
+    return "t_s,expected_T,counts\n" + "".join(f"{t!r},1.0,50\n" for t in times)
+
+
+@pytest.mark.parametrize(
+    "times, line, message",
+    [
+        ([0.0, 1e-5, float("nan"), 3e-5], 4, "not finite"),
+        ([0.0, 1e-5, float("inf"), 3e-5], 4, "not finite"),
+        ([0.0, 1e-5, 1e-5, 2e-5], 4, "does not follow"),
+        ([0.0, 2e-5, 1e-5, 3e-5], 4, "does not follow"),
+        ([0.0, 1e-5, 2e-5, 3.5e-5, 4.5e-5], 5, "median step"),
+    ],
+    ids=["nan", "inf", "repeat", "backwards", "non-uniform"],
+)
+def test_bad_time_axis_rejected(tmp_path, times, line, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(_trace_text(times))
+    with pytest.raises(CsvFormatError, match=f":{line}: .*{message}"):
+        read_trace_csv(path)
+
+
+def test_time_step_within_tolerance_accepted(tmp_path):
+    # steps that differ by less than 1e-6 of the median step still load
+    path = tmp_path / "trace.csv"
+    path.write_text(_trace_text([0.0, 1e-5, 2e-5 + 5e-12, 3e-5]))
+    assert len(read_trace_csv(path)) == 4
+
+
+def test_blank_lines_skipped_and_counted(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t_s,expected_T,counts\n0.0,1.0,50\n\n1e-05,1.0,50\n2e-05,1.0,\n")
+    with pytest.raises(CsvFormatError, match=":5: counts column is only partially filled"):
+        read_trace_csv(path)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    t0=st.floats(-1.0, 1.0),
+    step=st.floats(1e-7, 1e-3),
+    values=st.lists(st.tuples(_finite, st.integers(0, 2**62)), max_size=30),
+    sampled=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_trace_csv_round_trip_property(tmp_path_factory, t0, step, values, sampled):
+    t = t0 + step * np.arange(len(values))
+    T = [v for v, _ in values]
+    trace = TransitTrace(t, T, [k for _, k in values] if sampled else None)
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    write_trace_csv(path, trace)
+    back = read_trace_csv(path)
+    assert np.array_equal(back.t, trace.t)
+    assert np.array_equal(back.expected_T, trace.expected_T)
+    if sampled and values:
+        assert np.array_equal(back.counts, trace.counts)
+    else:
+        assert back.counts is None
+
+
+@given(st.lists(st.tuples(_finite, _finite, _finite), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_ensemble_csv_round_trip_property(tmp_path_factory, rows):
+    records = [EnsembleRecord(*r) for r in rows]
+    path = tmp_path_factory.mktemp("ensemble") / "ens.csv"
+    write_ensemble_csv(path, records)
+    assert read_ensemble_csv(path) == records
 
 
 def test_ensemble_round_trips_exactly(tmp_path):

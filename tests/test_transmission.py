@@ -22,6 +22,8 @@ from cavity_transit import (
     SingularParameterError,
     SystemConfig,
     detuning_scan,
+    effective_coupling,
+    lab_to_mode,
     local_maxima,
     local_minima,
     position_scan,
@@ -124,6 +126,19 @@ def test_singular_parameters_raise():
     rates = Rates(20.0, 1.5, 12.0)
     with pytest.raises(SingularParameterError):
         transmission_vs_coupling(4.0, rates, Detunings(4.0, 4.5))
+    # one singular detuning among regular ones fails the whole array call
+    with pytest.raises(SingularParameterError):
+        transmission_vs_coupling(4.0, rates, Detunings(np.array([-4.0, 0.0, 4.0, 8.0]), 4.5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_detunings_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Detunings(bad, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        Detunings(0.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        Detunings(np.array([0.0, bad, 1.0]), 0.0)
 
 
 def test_weak_coupling_warning():
@@ -185,6 +200,19 @@ def test_detuning_scan_vacuum_rabi_splitting():
     assert sorted(abs(deltas[i]) for i in peaks) == pytest.approx([expected] * 2, abs=0.1)
     # a coupled atom reduces the resonant transmission
     assert T[np.argmin(np.abs(deltas))] < 1.0
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_detuning_scan_matches_pointwise_loop(sign):
+    # reference: one scalar transmission_vs_coupling call per detuning; the
+    # array squares by multiplication where a scalar may go through pow, so
+    # the two may differ in the last bit
+    cfg = SystemConfig(detunings=Detunings(0.0, 3.0), cross_term_sign=sign)
+    p = LabPoint(5.0, -8.0, 0.0)
+    deltas, T = detuning_scan(cfg, p, (-40.0, 40.0), 2001)
+    g = effective_coupling(cfg.rates.g0, cfg.mode, cfg.geometry, lab_to_mode(p, cfg.geometry.tilt_deg))
+    loop = [transmission_vs_coupling(g, cfg.rates, Detunings(d, 3.0), sign) for d in deltas]
+    np.testing.assert_allclose(T, loop, rtol=1e-15, atol=0.0)
 
 
 def test_detuning_scan_validation():
