@@ -6,10 +6,13 @@ Each tree's commands run in one fresh interpreter that imports
 `cavity_transit` from that tree alone: mode-image, position, frequency and
 fixed-coupling scans, degeneracy, ensemble, thermometry from an ensemble
 and from fits, 12 transits with background, a single fit and a batch fit.
-The exit code of every command is written to `exit_codes.txt` and compared
-like any other output.  For a differing CSV with the same row count, the
-number of differing rows and the largest relative difference of its
-numeric fields are printed too.
+Three bad-input commands follow (a one-sample and a reversed fixed-coupling
+scan, a fit of a malformed trace).  The exit code of every command is
+written to `exit_codes.txt` and whatever it printed to stderr to
+`stderr.txt`; both are compared like any other output, and their differing
+lines are printed.  For a differing CSV with the same row count, the number
+of differing rows and the largest relative difference of its numeric fields
+are printed too.
 
 Usage: python scripts/compare_cli_outputs.py SRC_A SRC_B
 
@@ -21,6 +24,7 @@ byte-identical, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import difflib
 import math
 import subprocess
 import sys
@@ -57,28 +61,43 @@ COMMANDS = [
     ["fit", "--trace=traces/release_00.csv", BACKGROUND, "--out=fit_single.json"],
     ["fit", "--trace=traces", BACKGROUND, "--out=fits"],
     ["thermometry", "--fits=fits", "--out=temperature_fits.json"],
+    # bad input: these must fail with exit code 2 and a message on stderr
+    ["scan", "--axis=freq", "--g=5", "--samples=1", "--out=bad_scan_one_sample.csv"],
+    ["scan", "--axis=freq", "--g=5", "--delta-min=5", "--delta-max=-5", "--out=bad_scan_reversed.csv"],
+    ["fit", "--trace=malformed_trace.csv", "--out=bad_fit.json"],
 ]
+
+MALFORMED_TRACE = "t_s,expected_T,counts\n0.0,1.0,50\nnot,a_number,x\n"
 
 # Runs inside the fresh interpreter: argv is (src, outdir).
 DRIVER = """
-import sys
+import contextlib, io, sys
 src, outdir = sys.argv[1], sys.argv[2]
 sys.path.insert(0, src)
 import os
 os.chdir(outdir)
 os.makedirs("traces", exist_ok=True)
+with open("malformed_trace.csv", "w") as f:
+    f.write(MALFORMED_TRACE)
 from cavity_transit.cli import main
-codes = []
+codes, errs = [], []
 for argv in COMMANDS:
-    codes.append(f"{main(argv)} {' '.join(argv)}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    codes.append(f"{code} {' '.join(argv)}")
+    if err.getvalue():
+        errs.append(f"$ {' '.join(argv)}\\n{err.getvalue()}")
 with open("exit_codes.txt", "w") as f:
     f.write("\\n".join(codes) + "\\n")
+with open("stderr.txt", "w") as f:
+    f.write("".join(errs))
 """
 
 
 def run_tree(src: Path, outdir: Path) -> None:
     outdir.mkdir(parents=True)
-    code = f"COMMANDS = {COMMANDS!r}\n" + DRIVER
+    code = f"COMMANDS = {COMMANDS!r}\nMALFORMED_TRACE = {MALFORMED_TRACE!r}\n" + DRIVER
     subprocess.run([sys.executable, "-c", code, str(src), str(outdir)], check=True)
 
 
@@ -133,6 +152,12 @@ def compare(dir_a: Path, dir_b: Path) -> int:
             print(f"differs: {rel}")
         else:
             print(f"differs: {rel} ({detail[0]} rows, max relative difference {detail[1]:.3g})")
+        if rel.suffix == ".txt":
+            for line in difflib.unified_diff(
+                a.read_text().splitlines(), b.read_text().splitlines(), "A", "B", n=0, lineterm=""
+            ):
+                if not line.startswith(("---", "+++", "@@")):
+                    print(f"  {line}")
     n_same = len(files_a & files_b) - (n_diff - len(files_a ^ files_b))
     print(f"{n_same} identical, {n_diff} differing or missing")
     return 1 if n_diff else 0

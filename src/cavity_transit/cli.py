@@ -37,7 +37,7 @@ from .reconstruct import (
 )
 from .svgplot import heatmap_svg
 from .thermometry import estimate_temperature, records_from_fits
-from .transmission import Detunings, detuning_scan, position_scan, transmission_vs_coupling
+from .transmission import Detunings, _scan_axis, detuning_scan, position_scan, transmission_vs_coupling
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -114,10 +114,10 @@ def cmd_scan(args) -> int:
         x, T = position_scan(cfg, args.y, (args.x_min, args.x_max), args.samples)
         fileio.write_scan_csv(_out_path(rc, "scan.csv"), "x_um", x, T)
     else:
-        deltas = np.linspace(args.delta_min, args.delta_max, args.samples)
         if args.g is not None:
             if args.g < 0:
                 raise ConfigError(f"--g must be non-negative, got {args.g}")
+            deltas = _scan_axis("detuning", (args.delta_min, args.delta_max), args.samples)
             detunings = Detunings(deltas, cfg.detunings.delta_ca)
             T = transmission_vs_coupling(args.g, cfg.rates, detunings, cfg.cross_term_sign)
         else:
@@ -160,7 +160,9 @@ def cmd_fit(args) -> int:
         try:
             result = fit_transit(cfg, det, fileio.read_trace_csv(path), flux0_cps=args.flux0_known)
         except (ValueError, OSError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            # CSV format and file-system errors name the file themselves
+            named = isinstance(exc, (fileio.CsvFormatError, OSError))
+            print(f"error: {exc}" if named else f"error: {path}: {exc}", file=sys.stderr)
             failed = True
             continue
         fileio.write_fit_json(out, result)

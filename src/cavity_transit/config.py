@@ -23,25 +23,25 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    g0_mhz: float = 23.9
-    kappa_mhz: float = 2.6
-    gamma_mhz: float = 2.6
-    delta_pa_mhz: float = 0.0
-    delta_ca_mhz: float = 0.0
-    cross_term_sign: int = -1
-    mode_m: int = 1
-    mode_n: int = 0
-    w0_um: float = 23.8
-    wavelength_nm: float = 852.347
-    tilt_deg: float = 45.0
-    drop_height_m: float = 0.005
-    gravity_mps2: float = 9.81
+    g0_mhz: float = Rates.g0
+    kappa_mhz: float = Rates.kappa
+    gamma_mhz: float = Rates.gamma
+    delta_pa_mhz: float = Detunings.delta_pa
+    delta_ca_mhz: float = Detunings.delta_ca
+    cross_term_sign: int = SystemConfig.cross_term_sign
+    mode_m: int = ModeIndex.m
+    mode_n: int = ModeIndex.n
+    w0_um: float = ModeGeometry.w0_um
+    wavelength_nm: float = ModeGeometry.wavelength_nm
+    tilt_deg: float = ModeGeometry.tilt_deg
+    drop_height_m: float = FallConfig.drop_height_m
+    gravity_mps2: float = FallConfig.gravity_mps2
     atom_mass_kg: float = CESIUM_MASS_KG
-    bin_width_us: float = 10.0
-    flux0_cps: float = 5e6
-    background_cps: float = 0.0
-    window_start_us: float = -250.0
-    window_stop_us: float = 250.0
+    bin_width_us: float = DetectorConfig.bin_width_us
+    flux0_cps: float = DetectorConfig.flux0_cps
+    background_cps: float = DetectorConfig.background_cps
+    window_start_us: float = DetectorConfig.window_us[0]
+    window_stop_us: float = DetectorConfig.window_us[1]
     degeneracy_tol: float = 1e-6
     seed: int = 0
     out: str = ""

@@ -34,6 +34,10 @@ SIGN_RESOLVE_MARGIN = 1.0  # log-likelihood units
 
 DIP_DEPTH_MIN = 0.5  # fraction of baseline the smoothed minimum must fall below
 
+# Central-difference step of the rate Jacobian, as a fraction of (w0, fitted
+# speed, bin width); sigma moves by under 1e-6 relative from 1e-7 to 1e-4.
+_INFO_STEP = 1e-5
+
 
 class NoTransitError(ValueError):
     """The trace contains no detectable transit dip."""
@@ -180,8 +184,9 @@ def fit_transit(
     +-TC_HALFWIDTH_BINS bins around the centroid of the dip's count deficit
     (see `_crossing_index`), which lies between the two lobes even when one
     of them floors many bins at zero counts.  Returns the best parameters,
-    finite-difference Fisher uncertainties and the log-likelihood of the best
-    fit constrained to the opposite sign of y_off.
+    their uncertainties from the inverse expected Poisson information at the
+    fit (flux0 held fixed) and the log-likelihood of the best fit constrained
+    to the opposite sign of y_off.
     """
     if trace.counts is None:
         raise ValueError("trace has no counts to fit")
@@ -271,10 +276,8 @@ def fit_transit(
     log_lik = float(-best.fun - ln_fact)
     mirror_log_lik = float(-mirror.fun - ln_fact)
 
-    sigma, n_fisher = _fisher_sigma(
-        lambda p: -neg_ll(p / scale), np.asarray(best.x) * scale
-    )
-    n_evals += n_fisher
+    sigma, n_info = _expected_info_sigma(cfg, t, best.x * scale, flux0_cps, det.background_cps, binw_s)
+    n_evals += n_info
 
     return FitResult(
         params=params,
@@ -288,47 +291,22 @@ def fit_transit(
     )
 
 
-_FISHER_STEPS = np.array([0.05, 0.001, 5e-7])  # um, m/s, s
-
-
-def _fisher_sigma(loglik, p_hat):
-    """Per-parameter uncertainties from the observed Fisher information.
-
-    Central finite differences of the log-likelihood give the Hessian; the
-    sigmas are the square roots of the diagonal of its negated inverse, or
-    NaN when the curvature is not positive definite.
-    """
-    n = len(p_hat)
-    h = _FISHER_STEPS
-    hess = np.empty((n, n))
-    n_evals = 0
-    f0 = loglik(p_hat)
-    n_evals += 1
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h[i]
-        hess[i, i] = (loglik(p_hat + e) - 2.0 * f0 + loglik(p_hat - e)) / h[i] ** 2
-        n_evals += 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                loglik(p_hat + ei + ej)
-                - loglik(p_hat + ei - ej)
-                - loglik(p_hat - ei + ej)
-                + loglik(p_hat - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-            n_evals += 4
+def _expected_info_sigma(cfg, t, p_hat, flux0_cps, background_cps, binw_s):
+    """(sigma, rate evaluations) for (y, v, t_c), sigma = sqrt(diag(I^-1)) for
+    the expected Poisson information I = J diag(1/lam) J^T at the fit; NaN
+    for a non-positive diagonal entry or a singular I.  J, the rate Jacobian,
+    comes from central differences: one rate evaluation covers the fit and
+    its six displaced hypotheses, stacked on a leading axis."""
+    h = _INFO_STEP * np.array([cfg.geometry.w0_um, p_hat[1], binw_s])
+    theta = p_hat + np.concatenate([np.zeros((1, 3)), np.diag(h), -np.diag(h)])
+    lam = _bin_rates(cfg, t, *theta.T[..., None], flux0_cps, background_cps, binw_s)
+    jac = (lam[1:4] - lam[4:]) / (2.0 * h[:, None])
     try:
-        cov = np.linalg.inv(-hess)
-        diag = np.diag(cov)
+        diag = np.diag(np.linalg.inv((jac / lam[0]) @ jac.T))
         sigma = np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
     except np.linalg.LinAlgError:
-        sigma = np.full(n, np.nan)
-    return sigma, n_evals
+        sigma = np.full(3, np.nan)
+    return sigma, len(theta)
 
 
 _TRANSFORMS = {

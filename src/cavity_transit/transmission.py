@@ -8,7 +8,7 @@ delta_ca), so this is exactly equivalent to angular-frequency units.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,9 +96,12 @@ def transmission_vs_coupling(g_eff, rates: Rates, detunings: Detunings, cross_te
         kap * dpa + gam * dpa - gam * dca
     ) ** 2
     if np.any(den == 0.0):
-        raise SingularParameterError(
-            f"transmission denominator vanished (rates={rates}, detunings={detunings})"
-        )
+        at = f"detunings={detunings}"
+        if np.ndim(dpa):
+            i = np.unravel_index(np.argmax(den == 0.0), den.shape)
+            d = float(np.broadcast_to(dpa, den.shape)[i])
+            at = f"delta_pa[{','.join(str(int(k)) for k in i)}]={d!r}, delta_ca={dca!r}"
+        raise SingularParameterError(f"transmission denominator vanished at {at} (rates={rates})")
     out = num / den
     return out if out.ndim else float(out)
 
@@ -113,17 +116,22 @@ def transmission_at(cfg: SystemConfig, p: LabPoint):
     return transmission_vs_coupling(g, cfg.rates, cfg.detunings, cfg.cross_term_sign)
 
 
+def _scan_axis(name: str, bounds: tuple, samples: int) -> np.ndarray:
+    """Uniform scan axis over increasing bounds, with at least 2 samples."""
+    lo, hi = bounds
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    if not hi > lo:
+        raise ValueError(f"empty {name} range ({lo}, {hi})")
+    return np.linspace(lo, hi, samples)
+
+
 def position_scan(cfg: SystemConfig, y_lab_um: float, x_range_um: tuple, samples: int, z_um: float = 0.0):
     """Transmission along a vertical lab line at fixed off-axis position.
 
     Returns (x, T) arrays with x uniformly sampled over x_range_um.
     """
-    x0, x1 = x_range_um
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if not x1 > x0:
-        raise ValueError(f"empty position range ({x0}, {x1})")
-    x = np.linspace(x0, x1, samples)
+    x = _scan_axis("position", x_range_um, samples)
     return x, transmission_at(cfg, LabPoint(x, y_lab_um, z_um))
 
 
@@ -132,16 +140,9 @@ def detuning_scan(cfg: SystemConfig, p: LabPoint, delta_pa_range_mhz: tuple, sam
 
     delta_ca is held at the configured value.  Returns (delta_pa, T).
     """
-    d0, d1 = delta_pa_range_mhz
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if not d1 > d0:
-        raise ValueError(f"empty detuning range ({d0}, {d1})")
-    deltas = np.linspace(d0, d1, samples)
-    mp = lab_to_mode(p, cfg.geometry.tilt_deg)
-    g = effective_coupling(cfg.rates.g0, cfg.mode, cfg.geometry, mp)
-    detunings = Detunings(deltas, cfg.detunings.delta_ca)
-    return deltas, transmission_vs_coupling(g, cfg.rates, detunings, cfg.cross_term_sign)
+    deltas = _scan_axis("detuning", delta_pa_range_mhz, samples)
+    cfg = replace(cfg, detunings=Detunings(deltas, cfg.detunings.delta_ca))
+    return deltas, transmission_at(cfg, p)
 
 
 def local_maxima(values) -> np.ndarray:

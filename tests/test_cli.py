@@ -8,17 +8,21 @@ import pytest
 from scipy.optimize import brentq
 
 from cavity_transit import (
+    DetectorConfig,
     Detunings,
+    FallConfig,
     FitParams,
     FitResult,
     ModeGeometry,
     ModeIndex,
     ModePoint,
     Rates,
+    SystemConfig,
     mode_amplitude,
     transmission_vs_coupling,
 )
 from cavity_transit.cli import main
+from cavity_transit.config import RunConfig, detector_config, fall_config, system_config
 from cavity_transit.fileio import read_trace_csv
 
 
@@ -91,11 +95,34 @@ def test_scan_flag_conflict(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--samples", 1), "need at least 2 samples, got 1"),
+        (("--delta-min", 5, "--delta-max", -5), "empty detuning range (5.0, -5.0)"),
+    ],
+    ids=["one-sample", "reversed"],
+)
+def test_freq_scan_axis_checked_with_fixed_coupling(tmp_path, capsys, flags, message):
+    out = tmp_path / "s.csv"
+    for coupling in ((), ("--g", 5)):
+        assert run("scan", "--axis", "freq", *coupling, *flags, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_malformed_trace_reports_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t_s,expected_T,counts\n0.0,1.0,50\nnot,a_number,x\n")
     assert run("fit", "--trace", bad, "--out", tmp_path / "f.json") == 2
-    assert ":3:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{bad}:3:" in err
+    assert err.count(str(bad)) == 1
+    missing = tmp_path / "missing.csv"
+    assert run("fit", "--trace", missing, "--out", tmp_path / "f.json") == 2
+    err = capsys.readouterr().err
+    assert "No such file" in err
+    assert err.count(str(missing)) == 1
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -127,6 +154,13 @@ def test_dumped_config_reproduces_run(tmp_path):
     assert dump.exists()
     run("transit", "--config", dump, "--y", -16.3, "--v", 0.39, "--out", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_config_defaults_are_the_component_defaults():
+    rc = RunConfig()
+    assert system_config(rc) == SystemConfig()
+    assert detector_config(rc) == DetectorConfig()
+    assert fall_config(rc) == FallConfig()
 
 
 def test_ensemble_thermometry_pipeline(tmp_path):

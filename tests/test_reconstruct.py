@@ -15,6 +15,7 @@ from cavity_transit import (
     DetectorConfig,
     FitParams,
     FitResult,
+    LabPoint,
     ModeGeometry,
     ModeIndex,
     NoTransitError,
@@ -26,6 +27,7 @@ from cavity_transit import (
     fit_transit,
     log_likelihood,
     sample_counts,
+    transmission_at,
     x_resolution,
 )
 from cavity_transit.detector import expected_bin_counts
@@ -173,6 +175,32 @@ def test_flat_floored_dip_fits_true_trajectory(seed):
     assert fit.params.y_off_um < 0
     assert abs(fit.params.y_off_um - truth.y_off_um) < 3 * fit.sigma_y_um
     assert fit.log_lik >= log_likelihood(CFG, DET, trace, truth)
+
+
+def test_sigma_is_inverse_expected_information():
+    # sigma is sqrt(diag(I^-1)) for the expected Poisson information
+    # I = sum dlam dlam^T / lam of (y, v, t_c) at the fitted parameters, with
+    # the flux held at the value the fit used; here the rate derivatives come
+    # from a five-point stencil of transmission_at along the fitted trajectory
+    trace = sample_counts(expected_trace(CFG, Trajectory(-16.3, 0.39), DET), DET, 7)
+    fit = fit_transit(CFG, DET, trace, flux0_cps=DET.flux0_cps)
+    binw_s = DET.bin_width_us * 1e-6
+
+    def rates(y, v, tc):
+        x = v * (trace.t - tc) * 1e6
+        return DET.flux0_cps * transmission_at(CFG, LabPoint(x, y, 0.0)) * binw_s
+
+    p = np.array([fit.params.y_off_um, fit.params.v_mps, fit.params.t_c_s])
+    steps = 1e-4 * np.array([CFG.geometry.w0_um, p[1], binw_s])
+    jac = np.array(
+        [
+            (8 * (rates(*(p + e)) - rates(*(p - e))) - rates(*(p + 2 * e)) + rates(*(p - 2 * e)))
+            / (12 * h)
+            for h, e in zip(steps, np.diag(steps))
+        ]
+    )
+    sigma = np.sqrt(np.diag(np.linalg.inv(jac @ (jac / rates(*p)).T)))
+    np.testing.assert_allclose([fit.sigma_y_um, fit.sigma_v_mps, fit.sigma_tc_s], sigma, rtol=1e-5)
 
 
 def test_fisher_sigma_tracks_monte_carlo_spread(mc_study):

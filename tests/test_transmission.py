@@ -7,6 +7,7 @@ default convention must match whenever d_ca = 0.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,9 +127,12 @@ def test_singular_parameters_raise():
     rates = Rates(20.0, 1.5, 12.0)
     with pytest.raises(SingularParameterError):
         transmission_vs_coupling(4.0, rates, Detunings(4.0, 4.5))
-    # one singular detuning among regular ones fails the whole array call
-    with pytest.raises(SingularParameterError):
+    # one singular detuning among regular ones fails the whole array call,
+    # and the message names its index and value
+    with pytest.raises(SingularParameterError, match=re.escape("delta_pa[2]=4.0")):
         transmission_vs_coupling(4.0, rates, Detunings(np.array([-4.0, 0.0, 4.0, 8.0]), 4.5))
+    with pytest.raises(SingularParameterError, match=re.escape("delta_pa[2000]=4.0")):
+        transmission_vs_coupling(4.0, rates, Detunings(np.linspace(-4.0, 4.0, 2001), 4.5))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
