@@ -6,11 +6,13 @@ Each tree's commands run in one fresh interpreter that imports
 `cavity_transit` from that tree alone: mode-image, position, frequency and
 fixed-coupling scans, degeneracy, ensemble, thermometry from an ensemble
 and from fits, 12 transits with background, a single fit and a batch fit.
-Three bad-input commands follow (a one-sample and a reversed fixed-coupling
-scan, a fit of a malformed trace).  The exit code of every command is
-written to `exit_codes.txt` and whatever it printed to stderr to
-`stderr.txt`; both are compared like any other output, and their differing
-lines are printed.  For a differing CSV with the same row count, the number
+Five bad-input commands follow: a one-sample and a reversed fixed-coupling
+scan, a fit of a malformed trace, a fit of a good trace with a zero
+empty-cavity rate, and thermometry over a fit directory whose one fit JSON
+lacks `v_mps`.  The exit code of every command (1 for an exception the CLI
+does not catch) is written to `exit_codes.txt` and whatever it printed to
+stderr to `stderr.txt`; both are compared like any other output, and their
+differing lines are printed.  For a differing CSV with the same row count, the number
 of differing rows and the largest relative difference of its numeric fields
 are printed too.
 
@@ -65,9 +67,16 @@ COMMANDS = [
     ["scan", "--axis=freq", "--g=5", "--samples=1", "--out=bad_scan_one_sample.csv"],
     ["scan", "--axis=freq", "--g=5", "--delta-min=5", "--delta-max=-5", "--out=bad_scan_reversed.csv"],
     ["fit", "--trace=malformed_trace.csv", "--out=bad_fit.json"],
+    ["fit", "--trace=traces/release_00.csv", "--flux0-known=0", "--out=bad_fit_flux0.json"],
+    ["thermometry", "--fits=fits_missing_key", "--out=bad_temperature.json"],
 ]
 
 MALFORMED_TRACE = "t_s,expected_T,counts\n0.0,1.0,50\nnot,a_number,x\n"
+# a fit JSON without its v_mps key
+FIT_MISSING_KEY = (
+    '{"y_off_um": 1.0, "t_c_s": 0.0, "sigma_y_um": 0.1, "sigma_v_mps": 0.005, "sigma_tc_s": 1e-06,'
+    ' "log_lik": -100.0, "mirror_log_lik": -150.0, "converged": true, "n_evals": 1}\n'
+)
 
 # Runs inside the fresh interpreter: argv is (src, outdir).
 DRIVER = """
@@ -79,12 +88,20 @@ os.chdir(outdir)
 os.makedirs("traces", exist_ok=True)
 with open("malformed_trace.csv", "w") as f:
     f.write(MALFORMED_TRACE)
+os.makedirs("fits_missing_key")
+with open("fits_missing_key/fit.json", "w") as f:
+    f.write(FIT_MISSING_KEY)
 from cavity_transit.cli import main
 codes, errs = [], []
 for argv in COMMANDS:
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:
+            # as from the shell: exit code 1 and the exception on stderr
+            code = 1
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     codes.append(f"{code} {' '.join(argv)}")
     if err.getvalue():
         errs.append(f"$ {' '.join(argv)}\\n{err.getvalue()}")
@@ -97,7 +114,10 @@ with open("stderr.txt", "w") as f:
 
 def run_tree(src: Path, outdir: Path) -> None:
     outdir.mkdir(parents=True)
-    code = f"COMMANDS = {COMMANDS!r}\nMALFORMED_TRACE = {MALFORMED_TRACE!r}\n" + DRIVER
+    code = (
+        f"COMMANDS = {COMMANDS!r}\nMALFORMED_TRACE = {MALFORMED_TRACE!r}\n"
+        f"FIT_MISSING_KEY = {FIT_MISSING_KEY!r}\n" + DRIVER
+    )
     subprocess.run([sys.executable, "-c", code, str(src), str(outdir)], check=True)
 
 

@@ -3,7 +3,8 @@
 
 For each empty-cavity count rate, simulates Poisson transits at the
 reference trajectory and reports the median recovery errors and the mean
-Fisher sigma, showing how the off-axis precision approaches the 0.1 um
+sigma the fitter reports (from the inverse expected Poisson information at
+the fit), showing how the off-axis precision approaches the 0.1 um
 scale as the flux grows.
 
 Usage: python scripts/run_fit_calibration.py [n_seeds]

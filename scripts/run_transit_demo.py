@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Simulate the three reference transits, fit each trace and print a
-true-versus-fitted table with Fisher uncertainties and the mirror margin.
+true-versus-fitted table with the fitter's uncertainties (from the inverse
+expected Poisson information at the fit) and the mirror margin.
 
 Usage: python scripts/run_transit_demo.py [seed]
 """

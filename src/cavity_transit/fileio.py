@@ -10,14 +10,14 @@ names the line of any malformed row.  JSON files hold the
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .detector import TransitTrace
 from .kinematics import EnsembleRecord
-from .reconstruct import FitResult
+from .reconstruct import FitParams, FitResult
 from .thermometry import TemperatureEstimate
 
 _TRACE_HEADER = "t_s,expected_T,counts"
@@ -132,7 +132,21 @@ def write_fit_json(path, result: FitResult) -> None:
 
 
 def read_fit_json(path) -> FitResult:
-    return FitResult.from_dict(json.loads(Path(path).read_text()))
+    """Read a fit written by `write_fit_json`.  A document that is not an
+    object, a missing key, or a parameter, sigma or log-likelihood that is
+    not a number raises ValueError naming the file and the key."""
+    try:
+        d = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(d).__name__}")
+    for f in (*fields(FitParams), *fields(FitResult)[1:]):
+        if f.name not in d:
+            raise ValueError(f"{path}: missing key {f.name!r}")
+        if f.type == "float" and type(d[f.name]) not in (int, float):
+            raise ValueError(f"{path}: {f.name} must be a number, got {d[f.name]!r}")
+    return FitResult.from_dict(d)
 
 
 def write_temperature_json(path, est: TemperatureEstimate) -> None:

@@ -2,9 +2,11 @@
 
 The fitter maximizes the exact Poisson log-likelihood of the binned counts
 over (y_off, v, t_c) with the axial position held at the antinode (z = 0).
-A coarse grid bracket is refined by Nelder-Mead simplex descent; the best
-refinement restricted to the opposite sign of y_off quantifies how decisively
-the mirror trajectory is excluded.
+A coarse grid over (y_off, v, t_c) is followed by one Nelder-Mead refinement
+per side of y_off = 0, each started at the best grid point on its side and
+held to that side.  The better side is the fit; the other is its mirror, and
+the log-likelihood gap between them says how decisively the mirror trajectory
+is excluded.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ Y_STEP_WAISTS = 0.125
 V_GRID_MPS = (0.25, 0.65, 0.025)
 TC_HALFWIDTH_BINS = 6
 
-N_REFINE_STARTS = 5
 MAX_REFINE_EVALS = 2000
 REFINE_REL_TOL = 1e-5
 SIGN_RESOLVE_MARGIN = 1.0  # log-likelihood units
@@ -180,13 +181,17 @@ def fit_transit(
     """Maximum-likelihood trajectory fit of a count trace.
 
     The empty-cavity rate is measured from the off-dip bins unless passed
-    explicitly; it is not a free fit parameter.  The coarse grid scans t_c over
+    explicitly; it is not a free fit parameter, and a rate that is not
+    positive raises ValueError.  The coarse grid scans y_off over
+    +-Y_HALFWIDTH_WAISTS waists, v over V_GRID_MPS and t_c over
     +-TC_HALFWIDTH_BINS bins around the centroid of the dip's count deficit
     (see `_crossing_index`), which lies between the two lobes even when one
-    of them floors many bins at zero counts.  Returns the best parameters,
-    their uncertainties from the inverse expected Poisson information at the
-    fit (flux0 held fixed) and the log-likelihood of the best fit constrained
-    to the opposite sign of y_off.
+    of them floors many bins at zero counts.  Then, for each sign of y_off,
+    one Nelder-Mead refinement starts at the best grid point of that sign
+    and is held to it (y_off = 0 is allowed on both sides).  Returns the
+    parameters of the better side, their uncertainties from the inverse
+    expected Poisson information at the fit (flux0 held fixed) and, as
+    mirror_log_lik, the log-likelihood of the other side.
     """
     if trace.counts is None:
         raise ValueError("trace has no counts to fit")
@@ -198,9 +203,14 @@ def fit_transit(
     i_cross = _crossing_index(k)
     if flux0_cps is None:
         flux0_cps = estimate_flux0(trace, det.background_cps)
+    if not flux0_cps > 0:
+        raise ValueError(f"empty-cavity rate must be positive, got {flux0_cps!r} counts/s")
 
     w0 = cfg.geometry.w0_um
-    y_grid = np.arange(-Y_HALFWIDTH_WAISTS * w0, Y_HALFWIDTH_WAISTS * w0 + 1e-9, Y_STEP_WAISTS * w0)
+    # whole multiples of the step: y = 0 is exact, so a refinement started
+    # there gets a first simplex of usable width in y
+    n_y = round(Y_HALFWIDTH_WAISTS / Y_STEP_WAISTS)
+    y_grid = np.arange(-n_y, n_y + 1) * (Y_STEP_WAISTS * w0)
     v_lo, v_hi, v_step = V_GRID_MPS
     v_grid = np.arange(v_lo, v_hi + 1e-9, v_step)
     tc_grid = t[i_cross] + np.arange(-TC_HALFWIDTH_BINS, TC_HALFWIDTH_BINS + 1) * binw_s
@@ -221,56 +231,30 @@ def fit_transit(
     scale = np.array([w0, 0.1, 5e-5])
     ln_fact = float(np.sum(gammaln(k + 1.0)))
 
-    def neg_ll(u, required_sign=0.0):
+    def neg_ll(u):
         y, v, tc = u * scale
         if v <= 0:
-            return 1e300
-        if required_sign and np.sign(y) not in (0.0, required_sign):
             return 1e300
         lam_u = _bin_rates(cfg, t, y, v, tc, flux0_cps, det.background_cps, binw_s)
         ll = _poisson_loglik(k, lam_u)
         return -ll if np.isfinite(ll) else 1e300
 
-    def refine(start, required_sign=0.0):
+    # one refinement per side of y = 0, started at the best grid point on that
+    # side and bounded to it; y = 0 belongs to both sides
+    sides = []
+    for sign in (1.0, -1.0):
+        side_ll = np.where((sign * y_grid >= 0)[:, None, None], grid_ll, -np.inf)
+        i, j, l = np.unravel_index(int(np.argmax(side_ll)), grid_ll.shape)
         res = minimize(
             neg_ll,
-            np.asarray(start) / scale,
-            args=(required_sign,),
+            np.array([y_grid[i], v_grid[j], tc_grid[l]]) / scale,
             method="Nelder-Mead",
+            bounds=[(0.0, None) if sign > 0 else (None, 0.0), (None, None), (None, None)],
             options={"xatol": REFINE_REL_TOL, "fatol": 1e-9, "maxfev": MAX_REFINE_EVALS},
         )
-        return res
-
-    flat_order = np.argsort(grid_ll.ravel())[::-1]
-    starts = []
-    for o in flat_order[:N_REFINE_STARTS]:
-        i, j, l = np.unravel_index(o, grid_ll.shape)
-        starts.append((y_grid[i], v_grid[j], tc_grid[l]))
-
-    best = None
-    for s in starts:
-        res = refine(s)
         n_evals += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-    # one restart from the best point to let a collapsed simplex reopen
-    res = refine(best.x * scale)
-    n_evals += res.nfev
-    if res.fun < best.fun:
-        best = res
-
-    y_hat = float(best.x[0] * scale[0])
-    mirror_sign = -np.sign(y_hat) if y_hat != 0.0 else -1.0
-    masked = np.where(
-        (np.sign(y_grid) == mirror_sign)[:, None, None], grid_ll, -np.inf
-    )
-    i, j, l = np.unravel_index(int(np.argmax(masked)), grid_ll.shape)
-    y_start = y_grid[i] if np.sign(y_grid[i]) == mirror_sign else mirror_sign * 0.5 * w0
-    mirror = refine((y_start, v_grid[j], tc_grid[l]), required_sign=mirror_sign)
-    n_evals += mirror.nfev
-
-    if mirror.fun < best.fun:
-        best, mirror = mirror, best
+        sides.append(res)
+    best, mirror = sorted(sides, key=lambda res: res.fun)
 
     params = FitParams(*(float(v) for v in best.x * scale))
     log_lik = float(-best.fun - ln_fact)

@@ -195,6 +195,37 @@ def test_thermometry_from_fit_directory(tmp_path):
     assert est["temperature_k"] == pytest.approx(186e-6, rel=0.3)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("v_mps"), "missing key 'v_mps'"),
+        (lambda d: d.update(t_c_s="soon"), "t_c_s must be a number, got 'soon'"),
+    ],
+    ids=["missing-key", "non-numeric"],
+)
+def test_thermometry_rejects_a_bad_fit_json(tmp_path, capsys, edit, message):
+    from cavity_transit.fileio import write_fit_json
+
+    fits_dir = tmp_path / "fits"
+    fits_dir.mkdir()
+    good, bad = fits_dir / "a.json", fits_dir / "b.json"
+    write_fit_json(good, FitResult(FitParams(0.0, 0.4, 0.3), 0.1, 0.005, 1e-6, -100.0, -150.0, True, 1))
+    d = json.loads(good.read_text())
+    edit(d)
+    bad.write_text(json.dumps(d))
+    assert run("thermometry", "--fits", fits_dir, "--out", tmp_path / "t.json") == 2
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_fit_rejects_zero_known_flux(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    run("transit", "--y", -16.3, "--v", 0.39, "--seed", 1, "--out", trace)
+    assert run("fit", "--trace", trace, "--flux0-known=0", "--out", tmp_path / "f.json") == 2
+    assert f"error: {trace}: empty-cavity rate must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_batch_fit_directory_feeds_thermometry(tmp_path):
     traces = tmp_path / "traces"
     traces.mkdir()

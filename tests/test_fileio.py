@@ -1,5 +1,6 @@
 """Wire-format round trips: every file must reload to the exact values."""
 
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -28,6 +29,7 @@ from cavity_transit.config import (
 from cavity_transit.fileio import (
     CsvFormatError,
     read_ensemble_csv,
+    read_fit_json,
     read_trace_csv,
     write_ensemble_csv,
     write_scan_csv,
@@ -163,6 +165,21 @@ def test_ensemble_header_checked(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(CsvFormatError, match=":1:"):
         read_ensemble_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ("{", "Expecting property name"),
+    ],
+    ids=["not-an-object", "not-json"],
+)
+def test_bad_fit_json_names_the_file(tmp_path, text, message):
+    path = tmp_path / "fit.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        read_fit_json(path)
 
 
 def test_scan_csv_headers(tmp_path):

@@ -163,6 +163,33 @@ def test_fit_rejects_dipless_trace():
         fit_transit(CFG, DET, trace)
 
 
+@pytest.mark.parametrize("flux0_cps", [0.0, -5e6])
+def test_fit_rejects_non_positive_flux_passed_in(flux0_cps):
+    trace = sample_counts(expected_trace(CFG, Trajectory(-16.3, 0.39), DET), DET, 0)
+    with pytest.raises(ValueError, match=f"empty-cavity rate must be positive, got {flux0_cps!r}"):
+        fit_transit(CFG, DET, trace, flux0_cps=flux0_cps)
+
+
+def test_fit_rejects_flux_estimated_as_zero():
+    # a background above the trace's baseline rate leaves no light from the cavity
+    trace = sample_counts(expected_trace(CFG, Trajectory(-16.3, 0.39), DET), DET, 0)
+    det = DetectorConfig(background_cps=6e6)
+    with pytest.raises(ValueError, match="empty-cavity rate must be positive, got 0.0"):
+        fit_transit(CFG, det, trace)
+
+
+@pytest.mark.parametrize("y_um, v_mps", [(10.0, 0.42), (-16.3, 0.39)])
+def test_untilted_mode_leaves_sign_unresolved(y_um, v_mps):
+    # the untilted TEM10 mode is even in y, so the refinements on the two
+    # sides of y = 0 find mirror images of one trajectory, equally likely
+    for seed in range(5):
+        trace = sample_counts(expected_trace(CFG_UNTILTED, Trajectory(y_um, v_mps), DET), DET, seed)
+        fit = fit_transit(CFG_UNTILTED, DET, trace)
+        assert fit.converged
+        assert not fit.sign_resolved
+        assert abs(fit.log_lik - fit.mirror_log_lik) <= 1e-6
+
+
 @pytest.mark.parametrize("seed", [18, 59, 87])
 def test_flat_floored_dip_fits_true_trajectory(seed):
     # at (-16.3, 0.39) the dark lobe floors about ten bins at zero counts, so
