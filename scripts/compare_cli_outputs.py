@@ -11,10 +11,11 @@ scan, a fit of a malformed trace, a fit of a good trace with a zero
 empty-cavity rate, and thermometry over a fit directory whose one fit JSON
 lacks `v_mps`.  The exit code of every command (1 for an exception the CLI
 does not catch) is written to `exit_codes.txt` and whatever it printed to
-stderr to `stderr.txt`; both are compared like any other output, and their
-differing lines are printed.  For a differing CSV with the same row count, the number
-of differing rows and the largest relative difference of its numeric fields
-are printed too.
+stderr to `stderr.txt`, with the tree's `src` path replaced by `<src>` so
+that the same warning from two trees reads the same.  Both files are
+compared like any other output, and their differing lines are printed.
+For a differing CSV with the same row count, the number of differing rows
+and the largest relative difference of its numeric fields are printed too.
 
 Usage: python scripts/compare_cli_outputs.py SRC_A SRC_B
 
@@ -104,7 +105,8 @@ for argv in COMMANDS:
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     codes.append(f"{code} {' '.join(argv)}")
     if err.getvalue():
-        errs.append(f"$ {' '.join(argv)}\\n{err.getvalue()}")
+        # a warning names the file that raised it; drop the tree's own path
+        errs.append(f"$ {' '.join(argv)}\\n{err.getvalue().replace(src, '<src>')}")
 with open("exit_codes.txt", "w") as f:
     f.write("\\n".join(codes) + "\\n")
 with open("stderr.txt", "w") as f:

@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Fit the same simulated transits with two source trees and compare the
+FitResults field by field.
+
+Each tree fits in one fresh interpreter that imports `cavity_transit` from
+that tree alone.  The transits are the Monte Carlo study of the test suite
+(seeds 0-99 at each of the three reference trajectories, 5e6 counts/s, no
+background) plus 25 seeds each at (10 um, 0.5 m/s) and (-5 um, 0.3 m/s)
+with 1e6 counts/s of background, and at (3 um, 0.45 m/s) with 500 counts/s
+of background and t_c = 0.0123456 s.  A fit that raises ValueError (a
+dipless trace, say) is recorded as its error message.
+
+Printed: the number of fits that differ per case, the largest |difference|
+of each field, and the lowest difference B - A of `log_lik` and
+`mirror_log_lik`.  NaN equals NaN.
+
+Usage: python scripts/compare_fits.py SRC_A SRC_B
+
+SRC_A and SRC_B are `src` directories (for example the one of this checkout
+and the one of an exported parent commit).  Exits 0 when every fit is
+equal, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+# (label, y_um, v_mps, t_c_s, background_cps, seeds)
+CASES = [
+    *[(f"mc ({y}, {v})", y, v, 0.0, 0.0, 100) for y, v in ((-16.3, 0.39), (0.0, 0.42), (18.0, 0.42))],
+    ("bg 1e6 (10, 0.5)", 10.0, 0.5, 0.0, 1e6, 25),
+    ("bg 1e6 (-5, 0.3)", -5.0, 0.3, 0.0, 1e6, 25),
+    ("bg 500 (3, 0.45) t_c", 3.0, 0.45, 0.0123456, 500.0, 25),
+]
+
+# Runs inside the fresh interpreter: argv is (src,); prints one JSON list
+# per case, each item a FitResult dict or an error string.
+DRIVER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from cavity_transit import DetectorConfig, SystemConfig, Trajectory, expected_trace, fit_transit, sample_counts
+cfg = SystemConfig()
+out = []
+for label, y, v, t_c, background, seeds in CASES:
+    det = DetectorConfig(background_cps=background)
+    clean = expected_trace(cfg, Trajectory(y, v, t_c_s=t_c), det)
+    fits = []
+    for seed in range(seeds):
+        try:
+            fits.append(fit_transit(cfg, det, sample_counts(clean, det, seed)).to_dict())
+        except ValueError as exc:
+            fits.append(f"{type(exc).__name__}: {exc}")
+    out.append(fits)
+print(json.dumps(out))
+"""
+
+
+def run_tree(src: Path) -> list:
+    code = f"CASES = {CASES!r}\n" + DRIVER
+    proc = subprocess.run([sys.executable, "-c", code, str(src)], check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _same(x, y) -> bool:
+    return x == y or (isinstance(x, float) and isinstance(y, float) and math.isnan(x) and math.isnan(y))
+
+
+def _delta(x, y) -> float:
+    if _same(x, y):
+        return 0.0
+    return abs(y - x) if math.isfinite(x) and math.isfinite(y) else math.inf
+
+
+def compare(results_a: list, results_b: list) -> int:
+    n_fits = n_diff = 0
+    worst: dict[str, float] = {}
+    low = {"log_lik": math.inf, "mirror_log_lik": math.inf}
+    for (label, *_), fits_a, fits_b in zip(CASES, results_a, results_b):
+        differ = 0
+        for a, b in zip(fits_a, fits_b):
+            n_fits += 1
+            if isinstance(a, str) or isinstance(b, str):
+                if a != b:
+                    differ += 1
+                    print(f"  {label}: A {a!r}, B {b!r}")
+                continue
+            if not all(_same(a[key], b[key]) for key in a):
+                differ += 1
+            for key in a:
+                worst[key] = max(worst.get(key, 0.0), _delta(a[key], b[key]))
+            for key in low:
+                low[key] = min(low[key], b[key] - a[key])
+        print(f"{label}: {differ} of {len(fits_a)} fits differ")
+        n_diff += differ
+    for key, value in worst.items():
+        print(f"max |delta| {key}: {value:.3g}")
+    for key, value in low.items():
+        print(f"lowest delta (B - A) {key}: {value:.3g}")
+    print(f"{n_fits - n_diff} of {n_fits} fits equal, {n_diff} differ")
+    return 1 if n_diff else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_a", type=Path)
+    parser.add_argument("src_b", type=Path)
+    args = parser.parse_args()
+    for src in (args.src_a, args.src_b):
+        if not (src / "cavity_transit" / "__init__.py").is_file():
+            parser.error(f"{src} holds no cavity_transit package")
+    return compare(run_tree(args.src_a.resolve()), run_tree(args.src_b.resolve()))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,6 +61,23 @@ class TransitTrace:
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+def _time_axis_fault(t) -> tuple[int, str] | None:
+    """(index, message) for the first bin time that is not finite, does not
+    follow its predecessor, or steps from it by more than 1e-6 of the median
+    step; None for a finite, strictly increasing, uniform axis."""
+    t = np.asarray(t, dtype=float)
+    median = float(np.median(np.diff(t))) if len(t) > 1 else 0.0
+    t = t.tolist()
+    for i, ti in enumerate(t):
+        if not math.isfinite(ti):
+            return i, f"time {ti!r} is not finite"
+        if i and ti <= t[i - 1]:
+            return i, f"time {ti!r} does not follow {t[i - 1]!r}"
+        if i and abs(ti - t[i - 1] - median) > 1e-6 * median:
+            return i, f"time step {ti - t[i - 1]!r} differs from the median step {median!r}"
+    return None
 
 
 def bin_centers(det: DetectorConfig, t_c_s: float) -> np.ndarray:

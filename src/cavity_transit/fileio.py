@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import TransitTrace
+from .detector import TransitTrace, _time_axis_fault
 from .kinematics import EnsembleRecord
 from .reconstruct import FitParams, FitResult
 from .thermometry import TemperatureEstimate
@@ -95,14 +95,8 @@ def read_trace_csv(path) -> TransitTrace:
     def fail(i, message):
         raise CsvFormatError(f"{path}:{linenos[i]}: {message}")
 
-    median = float(np.median(np.diff(t))) if len(t) > 1 else 0.0
-    for i, ti in enumerate(t):
-        if not np.isfinite(ti):
-            fail(i, f"time {ti!r} is not finite")
-        if i and ti <= t[i - 1]:
-            fail(i, f"time {ti!r} does not follow {t[i - 1]!r}")
-        if i and abs(ti - t[i - 1] - median) > 1e-6 * median:
-            fail(i, f"time step {ti - t[i - 1]!r} differs from the median step {median!r}")
+    if fault := _time_axis_fault(t):
+        fail(*fault)
     has_counts = [c is not None for c in counts]
     if any(has_counts) and not all(has_counts):
         fail(has_counts.index(False), "counts column is only partially filled")

@@ -7,6 +7,10 @@ per side of y_off = 0, each started at the best grid point on its side and
 held to that side.  The better side is the fit; the other is its mirror, and
 the log-likelihood gap between them says how decisively the mirror trajectory
 is excluded.
+
+The grid's t_c candidates are whole-bin shifts, so on the uniform time axis
+the fitter requires, its rates are evaluated once per (y_off, v, bin offset)
+and every shift is scored on a window of that table.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
-from .detector import DetectorConfig, TransitTrace, expected_trace
+from .detector import DetectorConfig, TransitTrace, _time_axis_fault, expected_trace
 from .kinematics import Trajectory
 from .modes import LabPoint
 from .transmission import SystemConfig, transmission_at
@@ -171,6 +175,31 @@ def estimate_flux0(trace: TransitTrace, background_cps: float = 0.0) -> float:
     return max(baseline_rate - background_cps, 0.0)
 
 
+def _coarse_grid(cfg, t, k, i_cross, flux0_cps, background_cps, binw_s):
+    """(y_grid, v_grid, tc_grid, grid log-likelihood of shape (y, v, t_c)).
+
+    Shift s of t_c = t[i_cross] + s binw_s puts bin j at t_j - t_c =
+    (j - i_cross - s) binw_s, so the rates are evaluated once per (y, v, bin
+    offset) and each shift is scored on its length-n window of that table.
+    """
+    # whole multiples of the step: y = 0 is exact, so a refinement started
+    # there gets a first simplex of usable width in y
+    n_y = round(Y_HALFWIDTH_WAISTS / Y_STEP_WAISTS)
+    y_grid = np.arange(-n_y, n_y + 1) * (Y_STEP_WAISTS * cfg.geometry.w0_um)
+    v_lo, v_hi, v_step = V_GRID_MPS
+    v_grid = np.arange(v_lo, v_hi + 1e-9, v_step)
+    tc_grid = t[i_cross] + np.arange(-TC_HALFWIDTH_BINS, TC_HALFWIDTH_BINS + 1) * binw_s
+
+    n = len(t)
+    offsets = np.arange(-i_cross - TC_HALFWIDTH_BINS, n - i_cross + TC_HALFWIDTH_BINS) * binw_s
+    lam = _bin_rates(
+        cfg, offsets, y_grid[:, None, None], v_grid[None, :, None], 0.0, flux0_cps, background_cps, binw_s
+    )
+    # window w starts at offset index w, i.e. shift s = TC_HALFWIDTH_BINS - w
+    windows = np.lib.stride_tricks.sliding_window_view(lam, n, axis=-1)[..., ::-1, :]
+    return y_grid, v_grid, tc_grid, _poisson_loglik(k, windows)
+
+
 def fit_transit(
     cfg: SystemConfig,
     det: DetectorConfig,
@@ -186,7 +215,10 @@ def fit_transit(
     +-Y_HALFWIDTH_WAISTS waists, v over V_GRID_MPS and t_c over
     +-TC_HALFWIDTH_BINS bins around the centroid of the dip's count deficit
     (see `_crossing_index`), which lies between the two lobes even when one
-    of them floors many bins at zero counts.  Then, for each sign of y_off,
+    of them floors many bins at zero counts.  The grid's rates are evaluated
+    once per (y_off, v, bin offset), so the trace's time axis must be finite,
+    strictly increasing and uniform, each step within 1e-6 of the median
+    step, or ValueError names the first bad bin.  Then, for each sign of y_off,
     one Nelder-Mead refinement starts at the best grid point of that sign
     and is held to it (y_off = 0 is allowed on both sides).  Returns the
     parameters of the better side, their uncertainties from the inverse
@@ -197,6 +229,8 @@ def fit_transit(
         raise ValueError("trace has no counts to fit")
     if len(trace) < 10:
         raise ValueError(f"need at least 10 bins to fit, got {len(trace)}")
+    if fault := _time_axis_fault(trace.t):
+        raise ValueError(f"time axis at bin {fault[0]}: {fault[1]}")
     k = np.asarray(trace.counts, dtype=float)
     t = trace.t
     binw_s = _trace_bin_width(trace)
@@ -206,29 +240,10 @@ def fit_transit(
     if not flux0_cps > 0:
         raise ValueError(f"empty-cavity rate must be positive, got {flux0_cps!r} counts/s")
 
-    w0 = cfg.geometry.w0_um
-    # whole multiples of the step: y = 0 is exact, so a refinement started
-    # there gets a first simplex of usable width in y
-    n_y = round(Y_HALFWIDTH_WAISTS / Y_STEP_WAISTS)
-    y_grid = np.arange(-n_y, n_y + 1) * (Y_STEP_WAISTS * w0)
-    v_lo, v_hi, v_step = V_GRID_MPS
-    v_grid = np.arange(v_lo, v_hi + 1e-9, v_step)
-    tc_grid = t[i_cross] + np.arange(-TC_HALFWIDTH_BINS, TC_HALFWIDTH_BINS + 1) * binw_s
-
-    lam = _bin_rates(
-        cfg,
-        t[None, None, None, :],
-        y_grid[:, None, None, None],
-        v_grid[None, :, None, None],
-        tc_grid[None, None, :, None],
-        flux0_cps,
-        det.background_cps,
-        binw_s,
-    )
-    grid_ll = _poisson_loglik(k, lam)
+    y_grid, v_grid, tc_grid, grid_ll = _coarse_grid(cfg, t, k, i_cross, flux0_cps, det.background_cps, binw_s)
     n_evals = grid_ll.size
 
-    scale = np.array([w0, 0.1, 5e-5])
+    scale = np.array([cfg.geometry.w0_um, 0.1, 5e-5])
     ln_fact = float(np.sum(gammaln(k + 1.0)))
 
     def neg_ll(u):

@@ -31,6 +31,13 @@ from cavity_transit import (
     x_resolution,
 )
 from cavity_transit.detector import expected_bin_counts
+from cavity_transit.reconstruct import (
+    TC_HALFWIDTH_BINS,
+    _bin_rates,
+    _coarse_grid,
+    _crossing_index,
+    _poisson_loglik,
+)
 
 CFG = SystemConfig()
 CFG_UNTILTED = SystemConfig(geometry=ModeGeometry(tilt_deg=0.0))
@@ -161,6 +168,78 @@ def test_fit_rejects_dipless_trace():
     )
     with pytest.raises(NoTransitError):
         fit_transit(CFG, DET, trace)
+
+
+def _without_bins(trace, idx):
+    keep = np.setdiff1d(np.arange(len(trace)), idx)
+    return TransitTrace(trace.t[keep], trace.expected_T[keep], trace.counts[keep])
+
+
+def _with_time(trace, i, value):
+    t = trace.t.copy()
+    t[i] = value
+    return dataclasses.replace(trace, t=t)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda tr: _without_bins(tr, [20, 21, 22]), "bin 20: time step .* differs from the median step"),
+        (lambda tr: _with_time(tr, 7, np.nan), "bin 7: time nan is not finite"),
+        (lambda tr: _with_time(tr, 30, tr.t[29]), "bin 30: time .* does not follow"),
+    ],
+    ids=["gap", "nan", "repeat"],
+)
+def test_fit_rejects_non_uniform_time_axis(edit, message):
+    # the grid scores every t_c shift on one table of whole-bin offsets, so an
+    # in-memory trace must meet the time-axis rule of read_trace_csv
+    trace = sample_counts(expected_trace(CFG, Trajectory(-16.3, 0.39), DET), DET, 0)
+    with pytest.raises(ValueError, match=f"time axis at {message}"):
+        fit_transit(CFG, DET, edit(trace))
+
+
+@pytest.mark.parametrize(
+    "cfg, det, truth, near_start",
+    [
+        (CFG, DetectorConfig(background_cps=2e5), Trajectory(-16.3, 0.39, t_c_s=0.0123456), False),
+        (CFG_UNTILTED, DET, Trajectory(10.0, 0.42), False),
+        (
+            SystemConfig(mode=ModeIndex(2, 1), geometry=ModeGeometry(tilt_deg=30.0)),
+            DET,
+            Trajectory(5.0, 0.45),
+            False,
+        ),
+        # the crossing lies a few bins from the trace start, so the t_c
+        # bracket reaches before the first bin
+        (CFG, DetectorConfig(window_us=(-20.0, 480.0)), Trajectory(18.0, 0.42), True),
+    ],
+    ids=["tilted-background", "untilted", "tem21", "crossing-near-start"],
+)
+def test_coarse_grid_matches_direct_broadcast(cfg, det, truth, near_start):
+    # the offset table must give the grid of evaluating every (y, v, t_c)
+    # hypothesis at the trace's own times
+    trace = sample_counts(expected_trace(cfg, truth, det), det, 4)
+    k = trace.counts.astype(float)
+    binw_s = float(np.median(np.diff(trace.t)))
+    i_cross = _crossing_index(k)
+    assert (i_cross < TC_HALFWIDTH_BINS) == near_start
+    y_grid, v_grid, tc_grid, grid_ll = _coarse_grid(
+        cfg, trace.t, k, i_cross, det.flux0_cps, det.background_cps, binw_s
+    )
+    lam = _bin_rates(
+        cfg,
+        trace.t[None, None, None, :],
+        y_grid[:, None, None, None],
+        v_grid[None, :, None, None],
+        tc_grid[None, None, :, None],
+        det.flux0_cps,
+        det.background_cps,
+        binw_s,
+    )
+    direct = _poisson_loglik(k, lam)
+    assert grid_ll.shape == direct.shape == (49, 17, 2 * TC_HALFWIDTH_BINS + 1)
+    assert np.argmax(grid_ll) == np.argmax(direct)
+    np.testing.assert_allclose(grid_ll, direct, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("flux0_cps", [0.0, -5e6])
