@@ -6,10 +6,14 @@ Each tree's commands run in one fresh interpreter that imports
 `cavity_transit` from that tree alone: mode-image, position, frequency and
 fixed-coupling scans, degeneracy, ensemble, thermometry from an ensemble
 and from fits, 12 transits with background, a single fit and a batch fit.
-Five bad-input commands follow: a one-sample and a reversed fixed-coupling
-scan, a fit of a malformed trace, a fit of a good trace with a zero
-empty-cavity rate, and thermometry over a fit directory whose one fit JSON
-lacks `v_mps`.  The exit code of every command (1 for an exception the CLI
+One transit reads a config file (`run.cfg`: a seed and a tilt), overrides a
+key by flag and dumps its effective configuration to `dump.cfg`, which is
+compared like its trace.  Seven bad-input commands follow: a one-sample and
+a reversed fixed-coupling scan, a fit of a malformed trace, a fit of a good
+trace with a zero empty-cavity rate, thermometry over a fit directory whose
+one fit JSON lacks `v_mps`, and two transits that argparse refuses, one
+with a non-numeric value and one with an unknown flag.  The exit code of
+every command (the code of a SystemExit, or 1 for an exception the CLI
 does not catch) is written to `exit_codes.txt` and whatever it printed to
 stderr to `stderr.txt`, with the tree's `src` path replaced by `<src>` so
 that the same warning from two trees reads the same.  Both files are
@@ -61,6 +65,10 @@ COMMANDS = [
         ]
         for i in range(12)
     ],
+    [
+        "transit", "--config=run.cfg", "--y=-16.3", "--v=0.39", "--flux0-cps=2e6",
+        "--dump-config=dump.cfg", "--out=trace_config.csv",
+    ],
     ["fit", "--trace=traces/release_00.csv", BACKGROUND, "--out=fit_single.json"],
     ["fit", "--trace=traces", BACKGROUND, "--out=fits"],
     ["thermometry", "--fits=fits", "--out=temperature_fits.json"],
@@ -70,7 +78,11 @@ COMMANDS = [
     ["fit", "--trace=malformed_trace.csv", "--out=bad_fit.json"],
     ["fit", "--trace=traces/release_00.csv", "--flux0-known=0", "--out=bad_fit_flux0.json"],
     ["thermometry", "--fits=fits_missing_key", "--out=bad_temperature.json"],
+    ["transit", "--y=0", "--v=0.4", "--tilt-deg=abc", "--out=bad_transit_tilt.csv"],
+    ["transit", "--y=0", "--v=0.4", "--bogus=1", "--out=bad_transit_flag.csv"],
 ]
+
+RUN_CONFIG = "# a config file read by one transit\nseed = 4\ntilt_deg = 30\n"
 
 MALFORMED_TRACE = "t_s,expected_T,counts\n0.0,1.0,50\nnot,a_number,x\n"
 # a fit JSON without its v_mps key
@@ -92,6 +104,8 @@ with open("malformed_trace.csv", "w") as f:
 os.makedirs("fits_missing_key")
 with open("fits_missing_key/fit.json", "w") as f:
     f.write(FIT_MISSING_KEY)
+with open("run.cfg", "w") as f:
+    f.write(RUN_CONFIG)
 from cavity_transit.cli import main
 codes, errs = [], []
 for argv in COMMANDS:
@@ -99,6 +113,9 @@ for argv in COMMANDS:
     with contextlib.redirect_stderr(err):
         try:
             code = main(argv)
+        except SystemExit as exc:
+            # argparse refuses the command line before the CLI runs
+            code = exc.code
         except Exception as exc:
             # as from the shell: exit code 1 and the exception on stderr
             code = 1
@@ -118,7 +135,7 @@ def run_tree(src: Path, outdir: Path) -> None:
     outdir.mkdir(parents=True)
     code = (
         f"COMMANDS = {COMMANDS!r}\nMALFORMED_TRACE = {MALFORMED_TRACE!r}\n"
-        f"FIT_MISSING_KEY = {FIT_MISSING_KEY!r}\n" + DRIVER
+        f"FIT_MISSING_KEY = {FIT_MISSING_KEY!r}\nRUN_CONFIG = {RUN_CONFIG!r}\n" + DRIVER
     )
     subprocess.run([sys.executable, "-c", code, str(src), str(outdir)], check=True)
 

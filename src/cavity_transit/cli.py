@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
 from .config import (
+    _VALUE_TYPES,
     ConfigError,
     RunConfig,
     apply_overrides,
@@ -29,12 +31,7 @@ from .config import (
 from .detector import expected_trace, sample_counts
 from .kinematics import Trajectory, sample_ensemble
 from .modes import LabPoint, lab_to_mode, mode_amplitude
-from .reconstruct import (
-    KNOWN_TRANSFORMS,
-    NoTransitError,
-    degeneracy_scan,
-    fit_transit,
-)
+from .reconstruct import KNOWN_TRANSFORMS, degeneracy_scan, fit_transit
 from .svgplot import heatmap_svg
 from .thermometry import estimate_temperature, records_from_fits
 from .transmission import Detunings, _scan_axis, detuning_scan, position_scan, transmission_vs_coupling
@@ -44,34 +41,30 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _config_flags() -> argparse.ArgumentParser:
+    """The flags every command takes: a config file, the output path, a config
+    dump, the seed and one hidden flag per other RunConfig key.  The flag of
+    each RunConfig key, --out and --seed included, stores to cfg_<key>."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="PATH", help="flat key = value configuration file")
-    p.add_argument("--out", metavar="PATH", help="output path")
+    p.add_argument("--out", dest="cfg_out", metavar="PATH", help="output path")
     p.add_argument("--dump-config", metavar="PATH", help="write the effective configuration")
     p.add_argument("--seed", dest="cfg_seed", type=int, metavar="N", help="random seed")
     for f in fields(RunConfig):
-        if f.name in ("out", "seed"):
-            continue
-        flag = "--" + f.name.replace("_", "-")
-        p.add_argument(
-            flag,
-            dest=f"cfg_{f.name}",
-            type={"int": int, "float": float, "str": str}[f.type],
-            metavar="V",
-            help=argparse.SUPPRESS,
-        )
+        if f.name not in ("out", "seed"):
+            p.add_argument(
+                "--" + f.name.replace("_", "-"),
+                dest=f"cfg_{f.name}",
+                type=_VALUE_TYPES[f.type],
+                metavar="V",
+                help=argparse.SUPPRESS,
+            )
+    return p
 
 
 def _build_config(args) -> RunConfig:
     rc = load_run_config(args.config) if args.config else RunConfig()
-    overrides = {
-        f.name: getattr(args, f"cfg_{f.name}", None)
-        for f in fields(RunConfig)
-        if f.name not in ("out",)
-    }
-    apply_overrides(rc, overrides)
-    if args.out is not None:
-        rc.out = args.out
+    apply_overrides(rc, {f.name: getattr(args, f"cfg_{f.name}") for f in fields(RunConfig)})
     if args.dump_config:
         dump_run_config(args.dump_config, rc)
     return rc
@@ -81,8 +74,7 @@ def _out_path(rc: RunConfig, default: str) -> Path:
     return Path(rc.out or default)
 
 
-def cmd_mode_image(args) -> int:
-    rc = _build_config(args)
+def cmd_mode_image(args, rc: RunConfig) -> int:
     cfg = system_config(rc)
     n = args.samples
     extent = args.extent_um
@@ -105,8 +97,7 @@ def cmd_mode_image(args) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args) -> int:
-    rc = _build_config(args)
+def cmd_scan(args, rc: RunConfig) -> int:
     cfg = system_config(rc)
     if args.axis == "pos":
         if args.g is not None:
@@ -132,8 +123,7 @@ def _trajectory_from_args(args) -> Trajectory:
     return Trajectory(y_off_um=args.y, v_mps=args.v, t_c_s=args.tc, z_pos_nm=args.z)
 
 
-def cmd_transit(args) -> int:
-    rc = _build_config(args)
+def cmd_transit(args, rc: RunConfig) -> int:
     det = detector_config(rc)
     trace = expected_trace(system_config(rc), _trajectory_from_args(args), det)
     trace = sample_counts(trace, det, rc.seed)
@@ -141,8 +131,7 @@ def cmd_transit(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    rc = _build_config(args)
+def cmd_fit(args, rc: RunConfig) -> int:
     cfg, det = system_config(rc), detector_config(rc)
     trace_path = Path(args.trace)
     if trace_path.is_dir():
@@ -172,22 +161,19 @@ def cmd_fit(args) -> int:
     return EXIT_VALIDATION if failed else EXIT_NO_CONVERGENCE if stuck else EXIT_OK
 
 
-def cmd_degeneracy(args) -> int:
-    rc = _build_config(args)
+def cmd_degeneracy(args, rc: RunConfig) -> int:
     transforms = [t.strip() for t in args.transforms.split(",") if t.strip()]
     reports = degeneracy_scan(
         system_config(rc),
         _trajectory_from_args(args),
         transforms,
         det=detector_config(rc),
-        threshold=rc.degeneracy_tol,
     )
     fileio.write_degeneracy_json(_out_path(rc, "degeneracy.json"), reports)
     return EXIT_OK
 
 
-def cmd_ensemble(args) -> int:
-    rc = _build_config(args)
+def cmd_ensemble(args, rc: RunConfig) -> int:
     records = sample_ensemble(
         fall_config(rc),
         args.temperature_uk * 1e-6,
@@ -200,8 +186,7 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def cmd_thermometry(args) -> int:
-    rc = _build_config(args)
+def cmd_thermometry(args, rc: RunConfig) -> int:
     if bool(args.ensemble) == bool(args.fits):
         raise ConfigError("pass exactly one of --ensemble CSV or --fits DIR")
     fc = fall_config(rc)
@@ -212,7 +197,7 @@ def cmd_thermometry(args) -> int:
         if not paths:
             raise ConfigError(f"no fit JSON files found in {args.fits}")
         records = records_from_fits([fileio.read_fit_json(p) for p in paths], fc)
-    est = estimate_temperature(records, fc, rc.atom_mass_kg, n_bins=args.n_bins)
+    est = estimate_temperature(records, fc, rc.atom_mass_kg)
     fileio.write_temperature_json(_out_path(rc, "temperature.json"), est)
     return EXIT_OK
 
@@ -223,15 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and reconstruct single-atom transits through a tilted TEM10 cavity mode",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = partial(sub.add_parser, parents=[_config_flags()])
 
-    p = sub.add_parser("mode-image", help="CSV + SVG heatmap of the mode intensity in the lab frame")
-    _add_config_flags(p)
+    p = add_command("mode-image", help="CSV + SVG heatmap of the mode intensity in the lab frame")
     p.add_argument("--extent-um", type=float, default=50.0, help="half-extent of the grid (um)")
     p.add_argument("--samples", type=int, default=161, help="grid points per axis")
     p.set_defaults(func=cmd_mode_image)
 
-    p = sub.add_parser("scan", help="transmission scan along position or probe detuning")
-    _add_config_flags(p)
+    p = add_command("scan", help="transmission scan along position or probe detuning")
     p.add_argument("--axis", choices=("pos", "freq"), required=True)
     p.add_argument("--y", type=float, default=0.0, help="off-axis position (um)")
     p.add_argument("--x", type=float, default=0.0, help="vertical position for freq scans (um)")
@@ -243,16 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, help="fixed coupling (MHz) instead of position-dependent")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("transit", help="simulate a transit trace with Poisson counts")
-    _add_config_flags(p)
+    p = add_command("transit", help="simulate a transit trace with Poisson counts")
     p.add_argument("--y", type=float, required=True, help="off-axis offset (um)")
     p.add_argument("--v", type=float, required=True, help="transit speed (m/s)")
     p.add_argument("--tc", type=float, default=0.0, help="crossing time (s)")
     p.add_argument("--z", type=float, default=0.0, help="axial position (nm)")
     p.set_defaults(func=cmd_transit)
 
-    p = sub.add_parser("fit", help="maximum-likelihood trajectory fit of trace CSVs")
-    _add_config_flags(p)
+    p = add_command("fit", help="maximum-likelihood trajectory fit of trace CSVs")
     p.add_argument(
         "--trace",
         required=True,
@@ -267,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("degeneracy", help="sup-norm trace differences under symmetry transforms")
-    _add_config_flags(p)
+    p = add_command("degeneracy", help="sup-norm trace differences under symmetry transforms")
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--tc", type=float, default=0.0)
@@ -276,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transforms", default=",".join(KNOWN_TRANSFORMS))
     p.set_defaults(func=cmd_degeneracy)
 
-    p = sub.add_parser("ensemble", help="sample a thermal ensemble of falling atoms")
-    _add_config_flags(p)
+    p = add_command("ensemble", help="sample a thermal ensemble of falling atoms")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--temperature-uk", type=float, default=186.0)
     p.add_argument(
@@ -288,22 +268,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("thermometry", help="temperature estimate from an ensemble or fit results")
-    _add_config_flags(p)
+    p = add_command("thermometry", help="temperature estimate from an ensemble or fit results")
     p.add_argument("--ensemble", metavar="CSV")
     p.add_argument("--fits", metavar="DIR")
-    p.add_argument("--n-bins", type=int, default=40)
     p.set_defaults(func=cmd_thermometry)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, fileio.CsvFormatError, NoTransitError, ValueError, OSError) as exc:
+        return args.func(args, _build_config(args))
+    except (ValueError, OSError) as exc:
+        # ConfigError, CsvFormatError and NoTransitError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

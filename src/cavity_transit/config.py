@@ -42,18 +42,17 @@ class RunConfig:
     background_cps: float = DetectorConfig.background_cps
     window_start_us: float = DetectorConfig.window_us[0]
     window_stop_us: float = DetectorConfig.window_us[1]
-    degeneracy_tol: float = 1e-6
     seed: int = 0
     out: str = ""
 
 
+# RunConfig field annotation -> the type a file value or flag is parsed as
+_VALUE_TYPES = {"int": int, "float": float, "str": str}
+
+
 def _coerce(field_type: str, key: str, raw: str, where: str):
     try:
-        if field_type == "int":
-            return int(raw)
-        if field_type == "float":
-            return float(raw)
-        return raw
+        return _VALUE_TYPES[field_type](raw)
     except ValueError:
         raise ConfigError(f"{where}: invalid value {raw!r} for key '{key}'") from None
 

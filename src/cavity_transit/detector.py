@@ -29,13 +29,16 @@ class DetectorConfig:
     window_us: tuple = (-250.0, 250.0)
 
     def __post_init__(self):
-        if self.bin_width_us <= 0:
-            raise ValueError(f"bin width must be positive, got {self.bin_width_us}")
-        if self.flux0_cps < 0 or self.background_cps < 0:
-            raise ValueError("count rates must be non-negative")
+        if not 0 < self.bin_width_us < math.inf:
+            raise ValueError(f"bin_width_us must be positive and finite, got {self.bin_width_us}")
+        for name in ("flux0_cps", "background_cps"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
         start, stop = self.window_us
-        if not (start < stop and start <= 0.0 <= stop):
-            raise ValueError(f"window {self.window_us} must contain the crossing time")
+        if not (-math.inf < start <= 0.0 <= stop < math.inf and start < stop):
+            raise ValueError(
+                f"window_us must be finite and contain the crossing time, got {self.window_us}"
+            )
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,9 @@ class FallConfig:
     gravity_mps2: float = 9.81
 
     def __post_init__(self):
-        if self.drop_height_m <= 0:
-            raise ValueError(f"drop height must be positive, got {self.drop_height_m}")
-        if self.gravity_mps2 <= 0:
-            raise ValueError(f"gravity must be positive, got {self.gravity_mps2}")
+        for name in ("drop_height_m", "gravity_mps2"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,11 @@ class Trajectory:
     z_pos_nm: float = 0.0
 
     def __post_init__(self):
-        if self.v_mps <= 0:
-            raise ValueError(f"transit speed must be positive, got {self.v_mps}")
+        for name in ("y_off_um", "t_c_s", "z_pos_nm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.v_mps < math.inf:
+            raise ValueError(f"v_mps must be positive and finite, got {self.v_mps}")
 
 
 class EnsembleRecord(NamedTuple):
@@ -94,14 +96,14 @@ def sample_ensemble(
     assumed exactly known): jittered records intentionally break the
     ballistic relation between t_arr and v_arr.
     """
-    if temperature_k <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature_k}")
-    if atom_mass_kg <= 0:
-        raise ValueError(f"atom mass must be positive, got {atom_mass_kg}")
+    if not 0 < temperature_k < math.inf:
+        raise ValueError(f"temperature_k must be positive and finite, got {temperature_k}")
+    if not 0 < atom_mass_kg < math.inf:
+        raise ValueError(f"atom_mass_kg must be positive and finite, got {atom_mass_kg}")
     if n < 1:
         raise ValueError(f"need at least one atom, got n={n}")
-    if timing_jitter_s < 0:
-        raise ValueError(f"timing jitter must be non-negative, got {timing_jitter_s}")
+    if not 0 <= timing_jitter_s < math.inf:
+        raise ValueError(f"timing_jitter_s must be non-negative and finite, got {timing_jitter_s}")
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(K_BOLTZMANN * temperature_k / atom_mass_kg)
     v0 = rng.normal(0.0, sigma, n)

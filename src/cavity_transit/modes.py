@@ -68,10 +68,11 @@ class ModeGeometry:
     tilt_deg: float = 45.0
 
     def __post_init__(self):
-        if self.w0_um <= 0:
-            raise ValueError(f"waist must be positive, got {self.w0_um}")
-        if self.wavelength_nm <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength_nm}")
+        for name in ("w0_um", "wavelength_nm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not math.isfinite(self.tilt_deg):
+            raise ValueError(f"tilt_deg must be finite, got {self.tilt_deg}")
         object.__setattr__(self, "tilt_deg", ((self.tilt_deg + 90.0) % 180.0) - 90.0)
 
     @property

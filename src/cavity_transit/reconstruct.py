@@ -39,6 +39,8 @@ SIGN_RESOLVE_MARGIN = 1.0  # log-likelihood units
 
 DIP_DEPTH_MIN = 0.5  # fraction of baseline the smoothed minimum must fall below
 
+DEGENERACY_TOL = 1e-6  # sup-norm transmission difference of a degenerate transform
+
 # Central-difference step of the rate Jacobian, as a fraction of (w0, fitted
 # speed, bin width); sigma moves by under 1e-6 relative from 1e-7 to 1e-4.
 _INFO_STEP = 1e-5
@@ -165,10 +167,7 @@ def estimate_flux0(trace: TransitTrace, background_cps: float = 0.0) -> float:
     k = np.asarray(trace.counts, dtype=float)
     sm = _smooth3(k)
     base0 = float(np.median(k))
-    mask = sm < 0.75 * base0
-    padded = np.zeros(len(k), dtype=bool)
-    for i in np.where(mask)[0]:
-        padded[max(0, i - 3) : i + 4] = True
+    padded = np.convolve(sm < 0.75 * base0, np.ones(7), "same") > 0
     if np.all(padded):
         raise NoTransitError("no empty-cavity bins to estimate flux from")
     baseline_rate = float(np.mean(k[~padded])) / _trace_bin_width(trace)
@@ -323,11 +322,10 @@ def degeneracy_scan(
     tr: Trajectory,
     transforms,
     det: DetectorConfig | None = None,
-    threshold: float = 1e-6,
 ) -> list[DegeneracyReport]:
     """Sup-norm expected-trace difference under trajectory symmetry transforms.
 
-    A transform whose sup difference stays below the threshold leaves the
+    A transform whose sup difference stays below DEGENERACY_TOL leaves the
     trajectory degenerate: the transformed path is indistinguishable from the
     original in the forward model.
     """
@@ -340,7 +338,7 @@ def degeneracy_scan(
             raise ValueError(f"unknown transform {label!r}; known: {KNOWN_TRANSFORMS}")
         other = transform(cfg, tr)
         sup = float(np.max(np.abs(expected_trace(cfg, other, det).expected_T - base)))
-        reports.append(DegeneracyReport(label, sup, sup < threshold))
+        reports.append(DegeneracyReport(label, sup, sup < DEGENERACY_TOL))
     return reports
 
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from .kinematics import K_BOLTZMANN, EnsembleRecord, FallConfig
 
+V_SHAPE_BINS = 40  # arrival-time bins of the V-shaped curve; fewer for under 400 records
+
 
 @dataclass(frozen=True)
 class TemperatureEstimate:
@@ -46,15 +48,15 @@ def v_shape_curve(records, n_bins: int):
     return np.array(centers), np.array(means)
 
 
-def estimate_temperature(
-    records, fc: FallConfig, atom_mass_kg: float, n_bins: int = 40
-) -> TemperatureEstimate:
+def estimate_temperature(records, fc: FallConfig, atom_mass_kg: float) -> TemperatureEstimate:
     """Trap temperature from the spread of inverted initial velocities.
 
     Each record is inverted to v0 = v_arr - g t_arr; the estimate is
     T = m var(v0) / k_B with the unbiased sample variance, and its
     statistical uncertainty is T sqrt(2/(n-1)).
     """
+    if not 0 < atom_mass_kg < math.inf:
+        raise ValueError(f"atom_mass_kg must be positive and finite, got {atom_mass_kg}")
     n = len(records)
     if n < 10:
         raise ValueError(f"need at least 10 records, got {n}")
@@ -66,7 +68,7 @@ def estimate_temperature(
         raise ValueError("zero velocity variance: temperature not positive")
     temperature = atom_mass_kg * var / K_BOLTZMANN
     sigma = temperature * math.sqrt(2.0 / (n - 1))
-    centers, means = v_shape_curve(records, min(n_bins, max(2, n // 10)))
+    centers, means = v_shape_curve(records, min(V_SHAPE_BINS, max(2, n // 10)))
     i_min = int(np.argmin(means))
     return TemperatureEstimate(
         temperature_k=temperature,

@@ -7,6 +7,7 @@ delta_ca), so this is exactly equivalent to angular-frequency units.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -34,8 +35,8 @@ class Rates:
 
     def __post_init__(self):
         for name in ("g0", "kappa", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not self.is_strong_coupling:
             warnings.warn(
                 f"not in the strong-coupling regime: g0={self.g0} is not larger "
@@ -126,13 +127,13 @@ def _scan_axis(name: str, bounds: tuple, samples: int) -> np.ndarray:
     return np.linspace(lo, hi, samples)
 
 
-def position_scan(cfg: SystemConfig, y_lab_um: float, x_range_um: tuple, samples: int, z_um: float = 0.0):
-    """Transmission along a vertical lab line at fixed off-axis position.
+def position_scan(cfg: SystemConfig, y_lab_um: float, x_range_um: tuple, samples: int):
+    """Transmission along a vertical lab line at fixed off-axis position (z = 0).
 
     Returns (x, T) arrays with x uniformly sampled over x_range_um.
     """
     x = _scan_axis("position", x_range_um, samples)
-    return x, transmission_at(cfg, LabPoint(x, y_lab_um, z_um))
+    return x, transmission_at(cfg, LabPoint(x, y_lab_um, 0.0))
 
 
 def detuning_scan(cfg: SystemConfig, p: LabPoint, delta_pa_range_mhz: tuple, samples: int):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from cavity_transit import (
     transmission_vs_coupling,
 )
 from cavity_transit.cli import main
-from cavity_transit.config import RunConfig, detector_config, fall_config, system_config
+from cavity_transit.config import (
+    RunConfig,
+    detector_config,
+    fall_config,
+    load_run_config,
+    system_config,
+)
 from cavity_transit.fileio import read_trace_csv
 
 
@@ -154,6 +161,54 @@ def test_dumped_config_reproduces_run(tmp_path):
     assert dump.exists()
     run("transit", "--config", dump, "--y", -16.3, "--v", 0.39, "--out", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("scan", "--axis", "pos", "--w0-um", "nan"), "w0_um"),
+        (("scan", "--axis", "pos", "--g0-mhz", "nan"), "g0"),
+        (("scan", "--axis", "pos", "--kappa-mhz", "inf"), "kappa"),
+        (("scan", "--axis", "pos", "--tilt-deg", "nan"), "tilt_deg"),
+        (("transit", "--y", 0, "--v", 0.4, "--flux0-cps", "nan"), "flux0_cps"),
+        (("transit", "--y", 0, "--v", 0.4, "--window-stop-us", "inf"), "window_us"),
+        (("transit", "--y", "nan", "--v", 0.4), "y_off_um"),
+        (("degeneracy", "--y", 10, "--v", 0.42, "--w0-um", "nan"), "w0_um"),
+        (("ensemble", "--temperature-uk", "nan"), "temperature_k"),
+        (("ensemble", "--drop-height-m", "nan"), "drop_height_m"),
+        (("ensemble", "--timing-jitter-ms", "inf"), "timing_jitter_s"),
+    ],
+    ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_non_finite_setting_is_rejected_by_name(tmp_path, capsys, argv, field):
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", out) == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("mode-image",),
+        ("scan", "--axis", "pos"),
+        ("transit", "--y", 0, "--v", 0.4),
+        ("fit", "--trace", "missing.csv"),
+        ("degeneracy", "--y", 10, "--v", 0.42),
+        ("ensemble",),
+        ("thermometry",),
+    ],
+    ids=lambda command: command[0],
+)
+def test_every_config_key_is_a_flag_of_every_command(tmp_path, monkeypatch, command):
+    # the dump is written before the command runs, so its exit code is moot
+    monkeypatch.chdir(tmp_path)
+    step = {"int": 1, "float": 0.25}
+    values = {f.name: f.default + step[f.type] for f in fields(RunConfig) if f.name != "out"}
+    values["out"] = str(tmp_path / "out")
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in values.items()]
+    run(*command, *flags, "--dump-config", tmp_path / "dump.cfg")
+    assert load_run_config(tmp_path / "dump.cfg") == RunConfig(**values)
 
 
 def test_run_config_defaults_are_the_component_defaults():

@@ -151,6 +151,30 @@ def test_fit_handles_background_rate():
     assert abs(fit.params.v_mps - 0.39) < 0.03
 
 
+def test_flux_estimate_masks_the_dip_padded_by_three_bins():
+    # reference: the bins whose smoothed counts fall below 75% of the median,
+    # each widened to three bins on either side one at a time
+    from cavity_transit.reconstruct import _smooth3, estimate_flux0
+
+    rng = np.random.default_rng(4)
+    for background in (0.0, 2e5, 1e6):
+        det = DetectorConfig(background_cps=background)
+        for _ in range(20):
+            y, v, z = rng.uniform(-40.0, 40.0), rng.uniform(0.3, 0.6), rng.uniform(0.0, 200.0)
+            tr = Trajectory(y, v, z_pos_nm=z)
+            trace = sample_counts(expected_trace(CFG, tr, det), det, int(rng.integers(2**31)))
+            k = trace.counts.astype(float)
+            padded = np.zeros(len(k), dtype=bool)
+            for i in np.where(_smooth3(k) < 0.75 * np.median(k))[0]:
+                padded[max(0, i - 3) : i + 4] = True
+            if np.all(padded):
+                with pytest.raises(NoTransitError):
+                    estimate_flux0(trace, background)
+                continue
+            rate = float(np.mean(k[~padded])) / float(np.median(np.diff(trace.t)))
+            assert estimate_flux0(trace, background) == max(rate - background, 0.0)
+
+
 def test_fit_requires_enough_bins():
     trace = TransitTrace(
         t=np.arange(5) * 1e-5, expected_T=np.ones(5), counts=np.full(5, 50, dtype=np.int64)

@@ -124,6 +124,13 @@ def test_estimate_requires_samples_and_spread():
         estimate_temperature([_record(0.1)] * 50, FC, CESIUM_MASS_KG)
 
 
+@pytest.mark.parametrize("mass_kg", [0.0, math.nan, math.inf])
+def test_estimate_rejects_an_atom_mass_that_is_not_positive_and_finite(mass_kg):
+    records = [_record(v0) for v0 in np.linspace(-0.2, 0.2, 50)]
+    with pytest.raises(ValueError, match="atom_mass_kg must be positive and finite"):
+        estimate_temperature(records, FC, mass_kg)
+
+
 def test_records_from_fits_pairs_speed_with_arrival_time():
     t_arr, v_arr = arrival_from_initial(FC, 0.12)
     fit = FitResult(
