@@ -10,9 +10,9 @@ with 1e6 counts/s of background, and at (3 um, 0.45 m/s) with 500 counts/s
 of background and t_c = 0.0123456 s.  A fit that raises ValueError (a
 dipless trace, say) is recorded as its error message.
 
-Printed: the number of fits that differ per case, the largest |difference|
-of each field, and the lowest difference B - A of `log_lik` and
-`mirror_log_lik`.  NaN equals NaN.
+Printed: the number of fits that differ per case, the number that differ in
+each field, the largest |difference| of each field, and the lowest
+difference B - A of `log_lik` and `mirror_log_lik`.  NaN equals NaN.
 
 Usage: python scripts/compare_fits.py SRC_A SRC_B
 
@@ -79,6 +79,7 @@ def _delta(x, y) -> float:
 def compare(results_a: list, results_b: list) -> int:
     n_fits = n_diff = 0
     worst: dict[str, float] = {}
+    per_field: dict[str, int] = {}
     low = {"log_lik": math.inf, "mirror_log_lik": math.inf}
     for (label, *_), fits_a, fits_b in zip(CASES, results_a, results_b):
         differ = 0
@@ -92,11 +93,14 @@ def compare(results_a: list, results_b: list) -> int:
             if not all(_same(a[key], b[key]) for key in a):
                 differ += 1
             for key in a:
+                per_field[key] = per_field.get(key, 0) + (not _same(a[key], b[key]))
                 worst[key] = max(worst.get(key, 0.0), _delta(a[key], b[key]))
             for key in low:
                 low[key] = min(low[key], b[key] - a[key])
         print(f"{label}: {differ} of {len(fits_a)} fits differ")
         n_diff += differ
+    for key, value in per_field.items():
+        print(f"{key}: {value} fits differ")
     for key, value in worst.items():
         print(f"max |delta| {key}: {value:.3g}")
     for key, value in low.items():

@@ -8,9 +8,9 @@ held to that side.  The better side is the fit; the other is its mirror, and
 the log-likelihood gap between them says how decisively the mirror trajectory
 is excluded.
 
-The grid's t_c candidates are whole-bin shifts, so on the uniform time axis
+The grid's t_c candidates are the bin centres, so on the uniform time axis
 the fitter requires, its rates are evaluated once per (y_off, v, bin offset)
-and every shift is scored on a window of that table.
+and every candidate is scored on a window of that table.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from .modes import LabPoint
 from .transmission import SystemConfig, transmission_at
 
 # Coarse-grid layout: y in [-3 w0, 3 w0] step w0/8, v bracketing all plausible
-# fall speeds, t_c scanned in bin-width steps around the dip's deficit centroid.
+# fall speeds, t_c at every bin centre.
 Y_HALFWIDTH_WAISTS = 3.0
 Y_STEP_WAISTS = 0.125
 V_GRID_MPS = (0.25, 0.65, 0.025)
-TC_HALFWIDTH_BINS = 6
 
 MAX_REFINE_EVALS = 2000
 REFINE_REL_TOL = 1e-5
@@ -137,23 +136,12 @@ def _smooth3(k):
     return np.convolve(np.asarray(k, dtype=float), np.ones(3) / 3.0, mode="same")
 
 
-def _crossing_index(counts) -> int:
-    """Bin nearest the crossing time, the centre of the t_c bracket.
-
-    The crossing is the centroid of the count deficit below the trace median,
-    taken over the smoothed bins deeper than the dip threshold.  The two
-    TEM10 lobes straddle t_c, and a transit through one dark lobe floors many
-    bins at zero counts, so the smoothed minimum alone can sit more than the
-    bracket half-width from t_c.  Raises NoTransitError when no bin reaches
-    the threshold.
-    """
-    sm = _smooth3(counts)
+def _require_dip(counts) -> None:
+    """Raise NoTransitError unless some 3-bin smoothed count falls below
+    (1 - DIP_DEPTH_MIN) times the trace median."""
     base = float(np.median(np.asarray(counts, dtype=float)))
-    floor = (1.0 - DIP_DEPTH_MIN) * base
-    if base <= 0 or np.min(sm) >= floor:
+    if base <= 0 or np.min(_smooth3(counts)) >= (1.0 - DIP_DEPTH_MIN) * base:
         raise NoTransitError("no transit dip detected in trace")
-    deficit = np.where(sm < floor, base - sm, 0.0)
-    return int(round(np.dot(np.arange(len(sm)), deficit) / np.sum(deficit)))
 
 
 def estimate_flux0(trace: TransitTrace, background_cps: float = 0.0) -> float:
@@ -174,12 +162,13 @@ def estimate_flux0(trace: TransitTrace, background_cps: float = 0.0) -> float:
     return max(baseline_rate - background_cps, 0.0)
 
 
-def _coarse_grid(cfg, t, k, i_cross, flux0_cps, background_cps, binw_s):
+def _coarse_grid(cfg, t, k, flux0_cps, background_cps, binw_s):
     """(y_grid, v_grid, tc_grid, grid log-likelihood of shape (y, v, t_c)).
 
-    Shift s of t_c = t[i_cross] + s binw_s puts bin j at t_j - t_c =
-    (j - i_cross - s) binw_s, so the rates are evaluated once per (y, v, bin
-    offset) and each shift is scored on its length-n window of that table.
+    Candidate c, t_c = t[c], puts bin j at t_j - t_c = (j - c) binw_s, so the
+    rates are evaluated once per (y, v, bin offset -(n-1)..n-1) and, with
+    W(x)[m, c] = x[m + c - (n-1)] (zero outside x), candidate c scores
+    sum_m ln lam[m] W(k)[m, c] - lam[m] W(1)[m, c].
     """
     # whole multiples of the step: y = 0 is exact, so a refinement started
     # there gets a first simplex of usable width in y
@@ -187,16 +176,17 @@ def _coarse_grid(cfg, t, k, i_cross, flux0_cps, background_cps, binw_s):
     y_grid = np.arange(-n_y, n_y + 1) * (Y_STEP_WAISTS * cfg.geometry.w0_um)
     v_lo, v_hi, v_step = V_GRID_MPS
     v_grid = np.arange(v_lo, v_hi + 1e-9, v_step)
-    tc_grid = t[i_cross] + np.arange(-TC_HALFWIDTH_BINS, TC_HALFWIDTH_BINS + 1) * binw_s
 
     n = len(t)
-    offsets = np.arange(-i_cross - TC_HALFWIDTH_BINS, n - i_cross + TC_HALFWIDTH_BINS) * binw_s
+    offsets = np.arange(1 - n, n) * binw_s
     lam = _bin_rates(
         cfg, offsets, y_grid[:, None, None], v_grid[None, :, None], 0.0, flux0_cps, background_cps, binw_s
     )
-    # window w starts at offset index w, i.e. shift s = TC_HALFWIDTH_BINS - w
-    windows = np.lib.stride_tricks.sliding_window_view(lam, n, axis=-1)[..., ::-1, :]
-    return y_grid, v_grid, tc_grid, _poisson_loglik(k, windows)
+
+    def window(x):
+        return np.lib.stride_tricks.sliding_window_view(np.pad(x, n - 1), n)
+
+    return y_grid, v_grid, t, np.log(lam) @ window(k) - lam @ window(np.ones(n))
 
 
 def fit_transit(
@@ -210,14 +200,13 @@ def fit_transit(
 
     The empty-cavity rate is measured from the off-dip bins unless passed
     explicitly; it is not a free fit parameter, and a rate that is not
-    positive raises ValueError.  The coarse grid scans y_off over
-    +-Y_HALFWIDTH_WAISTS waists, v over V_GRID_MPS and t_c over
-    +-TC_HALFWIDTH_BINS bins around the centroid of the dip's count deficit
-    (see `_crossing_index`), which lies between the two lobes even when one
-    of them floors many bins at zero counts.  The grid's rates are evaluated
-    once per (y_off, v, bin offset), so the trace's time axis must be finite,
-    strictly increasing and uniform, each step within 1e-6 of the median
-    step, or ValueError names the first bad bin.  Then, for each sign of y_off,
+    positive and finite raises ValueError.  A trace with no dip (see
+    `_require_dip`) raises NoTransitError.  The coarse grid scans y_off
+    over +-Y_HALFWIDTH_WAISTS waists, v over V_GRID_MPS and t_c over every
+    bin centre.  The grid's rates are evaluated once per (y_off, v, bin
+    offset), so the trace's time axis must be finite, strictly increasing
+    and uniform, each step within 1e-6 of the median step, or ValueError
+    names the first bad bin.  Then, for each sign of y_off,
     one Nelder-Mead refinement starts at the best grid point of that sign
     and is held to it (y_off = 0 is allowed on both sides).  Returns the
     parameters of the better side, their uncertainties from the inverse
@@ -233,13 +222,13 @@ def fit_transit(
     k = np.asarray(trace.counts, dtype=float)
     t = trace.t
     binw_s = _trace_bin_width(trace)
-    i_cross = _crossing_index(k)
+    _require_dip(k)
     if flux0_cps is None:
         flux0_cps = estimate_flux0(trace, det.background_cps)
-    if not flux0_cps > 0:
+    if not 0 < flux0_cps < np.inf:
         raise ValueError(f"empty-cavity rate must be positive, got {flux0_cps!r} counts/s")
 
-    y_grid, v_grid, tc_grid, grid_ll = _coarse_grid(cfg, t, k, i_cross, flux0_cps, det.background_cps, binw_s)
+    y_grid, v_grid, tc_grid, grid_ll = _coarse_grid(cfg, t, k, flux0_cps, det.background_cps, binw_s)
     n_evals = grid_ll.size
 
     scale = np.array([cfg.geometry.w0_um, 0.1, 5e-5])

@@ -118,10 +118,12 @@ def transmission_at(cfg: SystemConfig, p: LabPoint):
 
 
 def _scan_axis(name: str, bounds: tuple, samples: int) -> np.ndarray:
-    """Uniform scan axis over increasing bounds, with at least 2 samples."""
+    """Uniform scan axis over finite increasing bounds, with at least 2 samples."""
     lo, hi = bounds
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} range bounds must be finite, got ({lo}, {hi})")
     if not hi > lo:
         raise ValueError(f"empty {name} range ({lo}, {hi})")
     return np.linspace(lo, hi, samples)

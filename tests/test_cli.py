@@ -107,8 +107,9 @@ def test_scan_flag_conflict(tmp_path, capsys):
     [
         (("--samples", 1), "need at least 2 samples, got 1"),
         (("--delta-min", 5, "--delta-max", -5), "empty detuning range (5.0, -5.0)"),
+        (("--delta-min=-inf",), "detuning range bounds must be finite, got (-inf, 40.0)"),
     ],
-    ids=["one-sample", "reversed"],
+    ids=["one-sample", "reversed", "infinite"],
 )
 def test_freq_scan_axis_checked_with_fixed_coupling(tmp_path, capsys, flags, message):
     out = tmp_path / "s.csv"
@@ -116,6 +117,13 @@ def test_freq_scan_axis_checked_with_fixed_coupling(tmp_path, capsys, flags, mes
         assert run("scan", "--axis", "freq", *coupling, *flags, "--out", out) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_position_scan_bounds_must_be_finite(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run("scan", "--axis", "pos", "--x-max", "inf", "--samples", 5, "--out", out) == 2
+    assert "position range bounds must be finite, got (-80.0, inf)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_trace_reports_line_number(tmp_path, capsys):
@@ -278,6 +286,14 @@ def test_fit_rejects_zero_known_flux(tmp_path, capsys):
     run("transit", "--y", -16.3, "--v", 0.39, "--seed", 1, "--out", trace)
     assert run("fit", "--trace", trace, "--flux0-known=0", "--out", tmp_path / "f.json") == 2
     assert f"error: {trace}: empty-cavity rate must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_fit_rejects_infinite_known_flux(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    run("transit", "--y", -16.3, "--v", 0.39, "--seed", 1, "--out", trace)
+    assert run("fit", "--trace", trace, "--flux0-known", "inf", "--out", tmp_path / "f.json") == 2
+    assert f"error: {trace}: empty-cavity rate must be positive, got inf" in capsys.readouterr().err
     assert not (tmp_path / "f.json").exists()
 
 

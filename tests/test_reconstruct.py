@@ -31,13 +31,7 @@ from cavity_transit import (
     x_resolution,
 )
 from cavity_transit.detector import expected_bin_counts
-from cavity_transit.reconstruct import (
-    TC_HALFWIDTH_BINS,
-    _bin_rates,
-    _coarse_grid,
-    _crossing_index,
-    _poisson_loglik,
-)
+from cavity_transit.reconstruct import _bin_rates, _coarse_grid, _poisson_loglik
 
 CFG = SystemConfig()
 CFG_UNTILTED = SystemConfig(geometry=ModeGeometry(tilt_deg=0.0))
@@ -223,33 +217,24 @@ def test_fit_rejects_non_uniform_time_axis(edit, message):
 
 
 @pytest.mark.parametrize(
-    "cfg, det, truth, near_start",
+    "cfg, det, truth",
     [
-        (CFG, DetectorConfig(background_cps=2e5), Trajectory(-16.3, 0.39, t_c_s=0.0123456), False),
-        (CFG_UNTILTED, DET, Trajectory(10.0, 0.42), False),
-        (
-            SystemConfig(mode=ModeIndex(2, 1), geometry=ModeGeometry(tilt_deg=30.0)),
-            DET,
-            Trajectory(5.0, 0.45),
-            False,
-        ),
-        # the crossing lies a few bins from the trace start, so the t_c
-        # bracket reaches before the first bin
-        (CFG, DetectorConfig(window_us=(-20.0, 480.0)), Trajectory(18.0, 0.42), True),
+        (CFG, DetectorConfig(background_cps=2e5), Trajectory(-16.3, 0.39, t_c_s=0.0123456)),
+        (CFG_UNTILTED, DET, Trajectory(10.0, 0.42)),
+        (SystemConfig(mode=ModeIndex(2, 1), geometry=ModeGeometry(tilt_deg=30.0)), DET, Trajectory(5.0, 0.45)),
+        # the crossing lies a few bins from the trace start
+        (CFG, DetectorConfig(window_us=(-20.0, 480.0)), Trajectory(18.0, 0.42)),
     ],
     ids=["tilted-background", "untilted", "tem21", "crossing-near-start"],
 )
-def test_coarse_grid_matches_direct_broadcast(cfg, det, truth, near_start):
+def test_coarse_grid_matches_direct_broadcast(cfg, det, truth):
     # the offset table must give the grid of evaluating every (y, v, t_c)
-    # hypothesis at the trace's own times
+    # hypothesis at the trace's own times, with a t_c candidate at every bin
     trace = sample_counts(expected_trace(cfg, truth, det), det, 4)
     k = trace.counts.astype(float)
     binw_s = float(np.median(np.diff(trace.t)))
-    i_cross = _crossing_index(k)
-    assert (i_cross < TC_HALFWIDTH_BINS) == near_start
-    y_grid, v_grid, tc_grid, grid_ll = _coarse_grid(
-        cfg, trace.t, k, i_cross, det.flux0_cps, det.background_cps, binw_s
-    )
+    y_grid, v_grid, tc_grid, grid_ll = _coarse_grid(cfg, trace.t, k, det.flux0_cps, det.background_cps, binw_s)
+    assert np.array_equal(tc_grid, trace.t)
     lam = _bin_rates(
         cfg,
         trace.t[None, None, None, :],
@@ -261,12 +246,12 @@ def test_coarse_grid_matches_direct_broadcast(cfg, det, truth, near_start):
         binw_s,
     )
     direct = _poisson_loglik(k, lam)
-    assert grid_ll.shape == direct.shape == (49, 17, 2 * TC_HALFWIDTH_BINS + 1)
+    assert grid_ll.shape == direct.shape == (49, 17, len(trace))
     assert np.argmax(grid_ll) == np.argmax(direct)
     np.testing.assert_allclose(grid_ll, direct, rtol=1e-9, atol=0)
 
 
-@pytest.mark.parametrize("flux0_cps", [0.0, -5e6])
+@pytest.mark.parametrize("flux0_cps", [0.0, -5e6, np.inf])
 def test_fit_rejects_non_positive_flux_passed_in(flux0_cps):
     trace = sample_counts(expected_trace(CFG, Trajectory(-16.3, 0.39), DET), DET, 0)
     with pytest.raises(ValueError, match=f"empty-cavity rate must be positive, got {flux0_cps!r}"):
@@ -305,6 +290,18 @@ def test_flat_floored_dip_fits_true_trajectory(seed):
     assert fit.params.y_off_um < 0
     assert abs(fit.params.y_off_um - truth.y_off_um) < 3 * fit.sigma_y_um
     assert fit.log_lik >= log_likelihood(CFG, DET, trace, truth)
+
+
+@pytest.mark.parametrize("seed", [8, 14])
+def test_background_flattened_dip_fits_true_side(seed):
+    # at (-5, 0.3) with 1e6 counts/s of background the count deficit is
+    # shallow and noisy; these seeds once fit y = +24.6 and 0.0 um because
+    # a t_c bracket centred on the deficit left the true crossing out
+    det = DetectorConfig(background_cps=1e6)
+    trace = sample_counts(expected_trace(CFG, Trajectory(-5.0, 0.3), det), det, seed)
+    fit = fit_transit(CFG, det, trace)
+    assert fit.params.y_off_um < 0
+    assert abs(fit.params.y_off_um - (-5.0)) < 3 * fit.sigma_y_um
 
 
 def test_sigma_is_inverse_expected_information():
