@@ -4,11 +4,14 @@ FitResults field by field.
 
 Each tree fits in one fresh interpreter that imports `cavity_transit` from
 that tree alone.  The transits are the Monte Carlo study of the test suite
-(seeds 0-99 at each of the three reference trajectories, 5e6 counts/s, no
-background) plus 25 seeds each at (10 um, 0.5 m/s) and (-5 um, 0.3 m/s)
-with 1e6 counts/s of background, and at (3 um, 0.45 m/s) with 500 counts/s
-of background and t_c = 0.0123456 s.  A fit that raises ValueError (a
-dipless trace, say) is recorded as its error message.
+(seeds 0-99 at each of the three reference trajectories, tilted TEM10,
+5e6 counts/s, no background) plus 25 seeds each of: tilted TEM10 at
+(10 um, 0.5 m/s) and (-5 um, 0.3 m/s) with 1e6 counts/s of background, at
+(10 um, 0.5 m/s) with the same background and t_c = 0.03 s, and at
+(3 um, 0.45 m/s) with 500 counts/s of background and t_c = 0.0123456 s;
+untilted TEM10 at (-10 um, 0.4 m/s); and TEM21 tilted by 30 degrees at
+(-17 um, 0.45 m/s).  A fit that raises ValueError (a dipless trace, say) is
+recorded as its error message.
 
 Printed: the number of fits that differ per case, the number that differ in
 each field, the largest |difference| of each field, and the lowest
@@ -30,12 +33,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-# (label, y_um, v_mps, t_c_s, background_cps, seeds)
+TEM10 = (1, 0)
+
+# (label, mode (m, n), tilt_deg, y_um, v_mps, t_c_s, background_cps, seeds)
 CASES = [
-    *[(f"mc ({y}, {v})", y, v, 0.0, 0.0, 100) for y, v in ((-16.3, 0.39), (0.0, 0.42), (18.0, 0.42))],
-    ("bg 1e6 (10, 0.5)", 10.0, 0.5, 0.0, 1e6, 25),
-    ("bg 1e6 (-5, 0.3)", -5.0, 0.3, 0.0, 1e6, 25),
-    ("bg 500 (3, 0.45) t_c", 3.0, 0.45, 0.0123456, 500.0, 25),
+    *[(f"mc ({y}, {v})", TEM10, 45.0, y, v, 0.0, 0.0, 100) for y, v in ((-16.3, 0.39), (0.0, 0.42), (18.0, 0.42))],
+    ("bg 1e6 (10, 0.5)", TEM10, 45.0, 10.0, 0.5, 0.0, 1e6, 25),
+    ("bg 1e6 (-5, 0.3)", TEM10, 45.0, -5.0, 0.3, 0.0, 1e6, 25),
+    ("bg 1e6 (10, 0.5) t_c 0.03", TEM10, 45.0, 10.0, 0.5, 0.03, 1e6, 25),
+    ("bg 500 (3, 0.45) t_c", TEM10, 45.0, 3.0, 0.45, 0.0123456, 500.0, 25),
+    ("untilted (-10, 0.4)", TEM10, 0.0, -10.0, 0.4, 0.0, 0.0, 25),
+    ("TEM21 30 deg (-17, 0.45)", (2, 1), 30.0, -17.0, 0.45, 0.0, 0.0, 25),
 ]
 
 # Runs inside the fresh interpreter: argv is (src,); prints one JSON list
@@ -43,10 +51,12 @@ CASES = [
 DRIVER = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from cavity_transit import DetectorConfig, SystemConfig, Trajectory, expected_trace, fit_transit, sample_counts
-cfg = SystemConfig()
+from cavity_transit import (
+    DetectorConfig, ModeGeometry, ModeIndex, SystemConfig, Trajectory, expected_trace, fit_transit, sample_counts
+)
 out = []
-for label, y, v, t_c, background, seeds in CASES:
+for label, mode, tilt, y, v, t_c, background, seeds in CASES:
+    cfg = SystemConfig(mode=ModeIndex(*mode), geometry=ModeGeometry(tilt_deg=tilt))
     det = DetectorConfig(background_cps=background)
     clean = expected_trace(cfg, Trajectory(y, v, t_c_s=t_c), det)
     fits = []

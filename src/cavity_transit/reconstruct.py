@@ -2,11 +2,11 @@
 
 The fitter maximizes the exact Poisson log-likelihood of the binned counts
 over (y_off, v, t_c) with the axial position held at the antinode (z = 0).
-A coarse grid over (y_off, v, t_c) is followed by one Nelder-Mead refinement
-per side of y_off = 0, each started at the best grid point on its side and
-held to that side.  The better side is the fit; the other is its mirror, and
-the log-likelihood gap between them says how decisively the mirror trajectory
-is excluded.
+A coarse grid over (y_off, v, t_c) is followed by Newton refinements on
+each side of y_off = 0, started at the best grid point on that side and at
+its two neighbouring crossing times, and held to that side.  The better side
+is the fit; the other is its mirror, and the log-likelihood gap between them
+says how decisively the mirror trajectory is excluded.
 
 The grid's t_c candidates are the bin centres, so on the uniform time axis
 the fitter requires, its rates are evaluated once per (y_off, v, bin offset)
@@ -15,11 +15,11 @@ and every candidate is scored on a window of that table.
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaln
 
 from .detector import DetectorConfig, TransitTrace, _time_axis_fault, expected_trace
 from .kinematics import Trajectory
@@ -32,17 +32,18 @@ Y_HALFWIDTH_WAISTS = 3.0
 Y_STEP_WAISTS = 0.125
 V_GRID_MPS = (0.25, 0.65, 0.025)
 
-MAX_REFINE_EVALS = 2000
-REFINE_REL_TOL = 1e-5
+MAX_REFINE_STEPS = 50
+REFINE_TOL = 1e-9  # log-likelihood units a Newton step must be predicted to gain
 SIGN_RESOLVE_MARGIN = 1.0  # log-likelihood units
 
 DIP_DEPTH_MIN = 0.5  # fraction of baseline the smoothed minimum must fall below
 
 DEGENERACY_TOL = 1e-6  # sup-norm transmission difference of a degenerate transform
 
-# Central-difference step of the rate Jacobian, as a fraction of (w0, fitted
+# Finite-difference step of the local rate model, as a fraction of (w0,
 # speed, bin width); sigma moves by under 1e-6 relative from 1e-7 to 1e-4.
 _INFO_STEP = 1e-5
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 class NoTransitError(ValueError):
@@ -125,7 +126,11 @@ def log_likelihood(cfg: SystemConfig, det: DetectorConfig, trace: TransitTrace, 
     lam = _bin_rates(
         cfg, trace.t, p.y_off_um, p.v_mps, p.t_c_s, det.flux0_cps, det.background_cps, binw_s
     )
-    return float(_poisson_loglik(trace.counts, lam) - np.sum(gammaln(trace.counts + 1.0)))
+    return float(_poisson_loglik(trace.counts, lam) - _ln_factorial_sum(trace.counts))
+
+
+def _ln_factorial_sum(k) -> float:
+    return sum(math.lgamma(x + 1.0) for x in np.asarray(k, dtype=float))
 
 
 def _trace_bin_width(trace: TransitTrace) -> float:
@@ -171,7 +176,7 @@ def _coarse_grid(cfg, t, k, flux0_cps, background_cps, binw_s):
     sum_m ln lam[m] W(k)[m, c] - lam[m] W(1)[m, c].
     """
     # whole multiples of the step: y = 0 is exact, so a refinement started
-    # there gets a first simplex of usable width in y
+    # there sits on the side bound, where it can hold y
     n_y = round(Y_HALFWIDTH_WAISTS / Y_STEP_WAISTS)
     y_grid = np.arange(-n_y, n_y + 1) * (Y_STEP_WAISTS * cfg.geometry.w0_um)
     v_lo, v_hi, v_step = V_GRID_MPS
@@ -206,12 +211,13 @@ def fit_transit(
     bin centre.  The grid's rates are evaluated once per (y_off, v, bin
     offset), so the trace's time axis must be finite, strictly increasing
     and uniform, each step within 1e-6 of the median step, or ValueError
-    names the first bad bin.  Then, for each sign of y_off,
-    one Nelder-Mead refinement starts at the best grid point of that sign
-    and is held to it (y_off = 0 is allowed on both sides).  Returns the
+    names the first bad bin.  Then, for each sign of y_off, Newton runs
+    (`minimize`) start at the best grid point of that sign and at its two
+    neighbouring crossing times, and are held to that sign (y_off = 0 is
+    allowed on both sides); the best run is the side's.  Returns the
     parameters of the better side, their uncertainties from the inverse
-    expected Poisson information at the fit (flux0 held fixed) and, as
-    mirror_log_lik, the log-likelihood of the other side.
+    expected Poisson information of its last local model (flux0 held
+    fixed) and, as mirror_log_lik, the log-likelihood of the other side.
     """
     if trace.counts is None:
         raise ValueError("trace has no counts to fit")
@@ -231,69 +237,104 @@ def fit_transit(
     y_grid, v_grid, tc_grid, grid_ll = _coarse_grid(cfg, t, k, flux0_cps, det.background_cps, binw_s)
     n_evals = grid_ll.size
 
-    scale = np.array([cfg.geometry.w0_um, 0.1, 5e-5])
-    ln_fact = float(np.sum(gammaln(k + 1.0)))
-
-    def neg_ll(u):
-        y, v, tc = u * scale
-        if v <= 0:
-            return 1e300
-        lam_u = _bin_rates(cfg, t, y, v, tc, flux0_cps, det.background_cps, binw_s)
-        ll = _poisson_loglik(k, lam_u)
-        return -ll if np.isfinite(ll) else 1e300
-
-    # one refinement per side of y = 0, started at the best grid point on that
-    # side and bounded to it; y = 0 belongs to both sides
     sides = []
     for sign in (1.0, -1.0):
         side_ll = np.where((sign * y_grid >= 0)[:, None, None], grid_ll, -np.inf)
         i, j, l = np.unravel_index(int(np.argmax(side_ll)), grid_ll.shape)
-        res = minimize(
-            neg_ll,
-            np.array([y_grid[i], v_grid[j], tc_grid[l]]) / scale,
-            method="Nelder-Mead",
-            bounds=[(0.0, None) if sign > 0 else (None, 0.0), (None, None), (None, None)],
-            options={"xatol": REFINE_REL_TOL, "fatol": 1e-9, "maxfev": MAX_REFINE_EVALS},
-        )
-        n_evals += res.nfev
-        sides.append(res)
-    best, mirror = sorted(sides, key=lambda res: res.fun)
+        starts = [np.array([y_grid[i], v_grid[j], tc_grid[m]]) for m in (l - 1, l, l + 1) if 0 <= m < len(t)]
+        runs = [minimize(cfg, t, k, x0, sign, flux0_cps, det.background_cps, binw_s) for x0 in starts]
+        n_evals += sum(run.nfev for run in runs)
+        sides.append(max(runs, key=lambda run: run.ll))
+    best, mirror = sorted(sides, key=lambda run: -run.ll)
 
-    params = FitParams(*(float(v) for v in best.x * scale))
-    log_lik = float(-best.fun - ln_fact)
-    mirror_log_lik = float(-mirror.fun - ln_fact)
-
-    sigma, n_info = _expected_info_sigma(cfg, t, best.x * scale, flux0_cps, det.background_cps, binw_s)
-    n_evals += n_info
-
+    ln_fact = _ln_factorial_sum(k)
     return FitResult(
-        params=params,
-        sigma_y_um=float(sigma[0]),
-        sigma_v_mps=float(sigma[1]),
-        sigma_tc_s=float(sigma[2]),
-        log_lik=log_lik,
-        mirror_log_lik=mirror_log_lik,
-        converged=bool(best.success),
+        params=FitParams(*(float(v) for v in best.x)),
+        sigma_y_um=float(best.sigma[0]),
+        sigma_v_mps=float(best.sigma[1]),
+        sigma_tc_s=float(best.sigma[2]),
+        log_lik=float(best.ll - ln_fact),
+        mirror_log_lik=float(mirror.ll - ln_fact),
+        converged=best.converged,
         n_evals=int(n_evals),
     )
 
 
-def _expected_info_sigma(cfg, t, p_hat, flux0_cps, background_cps, binw_s):
-    """(sigma, rate evaluations) for (y, v, t_c), sigma = sqrt(diag(I^-1)) for
-    the expected Poisson information I = J diag(1/lam) J^T at the fit; NaN
-    for a non-positive diagonal entry or a singular I.  J, the rate Jacobian,
-    comes from central differences: one rate evaluation covers the fit and
-    its six displaced hypotheses, stacked on a leading axis."""
-    h = _INFO_STEP * np.array([cfg.geometry.w0_um, p_hat[1], binw_s])
-    theta = p_hat + np.concatenate([np.zeros((1, 3)), np.diag(h), -np.diag(h)])
-    lam = _bin_rates(cfg, t, *theta.T[..., None], flux0_cps, background_cps, binw_s)
-    jac = (lam[1:4] - lam[4:]) / (2.0 * h[:, None])
+def _local_rates(cfg, t, theta, side, flux0_cps, background_cps, binw_s):
+    """(lam, J, D2, h): the rates at theta = (y, v, t_c), their first and
+    second derivatives per step h = _INFO_STEP * (side * w0, v, bin width),
+    J of shape (3, n) and D2 of shape (3, 3, n), and h.  One rate call
+    covers the 10 hypotheses theta, theta +- h_i and theta + h_i + h_j
+    (i < j).  h_y points into the side, so mirror-image runs do the same
+    arithmetic."""
+    h = _INFO_STEP * np.array([side * cfg.geometry.w0_um, theta[1], binw_s])
+    e = np.diag(h)
+    hyp = np.concatenate([theta[None], theta + e, theta - e, [theta + e[i] + e[j] for i, j in _PAIRS]])
+    lam = _bin_rates(cfg, t, *hyp.T[..., None], flux0_cps, background_cps, binw_s)
+    lam0, plus, minus = lam[0], lam[1:4], lam[4:7]
+    d2 = np.empty((3, 3, len(t)))
+    d2[[0, 1, 2], [0, 1, 2]] = plus - 2.0 * lam0 + minus
+    for (i, j), lam_ij in zip(_PAIRS, lam[7:]):
+        d2[i, j] = d2[j, i] = lam_ij - plus[i] - plus[j] + lam0
+    return lam0, (plus - minus) / 2.0, d2, h
+
+
+# End of one Newton run: (y, v, t_c), its log-likelihood without ln k!,
+# sigma, whether it converged and the number of rate hypotheses evaluated.
+Refinement = namedtuple("Refinement", "x ll sigma converged nfev")
+
+
+def minimize(cfg, t, k, theta, side, flux0_cps, background_cps, binw_s) -> Refinement:
+    """Newton ascent of sum(k ln lam - lam) from theta = (y, v, t_c), with
+    sign(y) held to side (named for the benchmark's tracer, which wraps it).
+
+    A step solves I step = score by least squares, with I the observed
+    information of `_local_rates`, or the expected one, J diag(1/lam) J^T,
+    where the observed one is not positive definite.  At y = 0, while the
+    score points across the bound, y is held; a trial's y is clipped to the
+    side.  A step is halved until the log-likelihood does not fall at a
+    positive speed.  Converged once a step is predicted to gain under
+    REFINE_TOL; unconverged after MAX_REFINE_STEPS steps.
+    """
+    nfev = 0
+
+    def model(theta):
+        nonlocal nfev
+        lam, jac, d2, h = _local_rates(cfg, t, theta, side, flux0_cps, background_cps, binw_s)
+        nfev += 10
+        resid = k / lam - 1.0
+        observed = (jac * (k / lam**2)) @ jac.T - d2 @ resid
+        return _poisson_loglik(k, lam), jac @ resid, observed, (jac / lam) @ jac.T, h
+
+    ll, score, observed, expected, h = model(theta)
+    converged = False
+    for _ in range(MAX_REFINE_STEPS):
+        free = np.array([theta[0] != 0 or score[0] > 0, True, True])
+        block = np.ix_(free, free)
+        info = observed if np.all(np.linalg.eigvalsh(observed[block]) > 0) else expected
+        step = np.zeros(3)
+        step[free] = np.linalg.lstsq(info[block], score[free], rcond=None)[0]
+        gain = 0.5 * score @ step
+        while gain >= REFINE_TOL:
+            trial = theta + step * h
+            trial[0] = side * max(side * trial[0], 0.0)
+            at_trial = model(trial)
+            if trial[1] > 0 and at_trial[0] >= ll:
+                break
+            step, gain = step / 2.0, gain / 2.0
+        if not gain >= REFINE_TOL:
+            converged = True
+            break
+        theta = trial
+        ll, score, observed, expected, h = at_trial
+    # sigma = sqrt(diag(I^-1)) of the last expected information, NaN for a
+    # non-positive diagonal entry or a singular I
     try:
-        diag = np.diag(np.linalg.inv((jac / lam[0]) @ jac.T))
-        sigma = np.where(diag > 0, np.sqrt(np.abs(diag)), np.nan)
+        diag = np.diag(np.linalg.inv(expected))
+        sigma = np.where(diag > 0, np.abs(h) * np.sqrt(np.abs(diag)), np.nan)
     except np.linalg.LinAlgError:
         sigma = np.full(3, np.nan)
-    return sigma, len(theta)
+    return Refinement(theta, float(ll), sigma, converged, nfev)
 
 
 _TRANSFORMS = {

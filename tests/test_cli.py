@@ -2,7 +2,10 @@
 
 import json
 import math
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +373,17 @@ def test_fit_nonconvergence_exit_code(tmp_path, monkeypatch):
     run("transit", "--y", 0, "--v", 0.42, "--out", trace)
     assert run("fit", "--trace", trace, "--out", tmp_path / "f.json") == 3
     assert json.loads((tmp_path / "f.json").read_text())["converged"] is False
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy alone; a fresh interpreter shows what importing
+    # the command line pulls in
+    import cavity_transit
+
+    src = str(Path(cavity_transit.__file__).parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import cavity_transit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_no_transit_trace_is_validation_error(tmp_path, capsys):

@@ -304,6 +304,47 @@ def test_background_flattened_dip_fits_true_side(seed):
     assert abs(fit.params.y_off_um - (-5.0)) < 3 * fit.sigma_y_um
 
 
+@pytest.mark.parametrize("seed", [9, 11, 14, 17, 20, 24])
+def test_background_flattened_dip_leaves_no_local_optimum(seed):
+    # at (10, 0.5) with 1e6 counts/s of background these seeds once stopped
+    # in a local optimum of the positive side, up to 8.6 log-likelihood
+    # units below the best fit and up to 7 sigma off
+    det = DetectorConfig(background_cps=1e6)
+    truth = FitParams(10.0, 0.5, 0.0)
+    trace = sample_counts(expected_trace(CFG, Trajectory(10.0, 0.5), det), det, seed)
+    fit = fit_transit(CFG, det, trace)
+    assert abs(fit.params.y_off_um - truth.y_off_um) < 3 * fit.sigma_y_um
+    assert fit.log_lik >= log_likelihood(CFG, det, trace, truth)
+
+
+@pytest.mark.parametrize(
+    "y_um, v_mps, background_cps, seed",
+    [(10.0, 0.5, 1e6, 9), (10.0, 0.5, 1e6, 14), (3.0, 0.45, 500.0, 8), (3.0, 0.45, 500.0, 9)],
+)
+def test_fit_does_not_depend_on_the_clock_origin(y_um, v_mps, background_cps, seed):
+    # the same counts on a time axis shifted by 30 ms must give the same
+    # trajectory, with t_c shifted by 30 ms
+    det = DetectorConfig(background_cps=background_cps)
+    trace = sample_counts(expected_trace(CFG, Trajectory(y_um, v_mps), det), det, seed)
+    a = fit_transit(CFG, det, trace)
+    b = fit_transit(CFG, det, dataclasses.replace(trace, t=trace.t + 0.03))
+    assert abs(b.params.y_off_um - a.params.y_off_um) < 1e-6
+    assert abs(b.params.v_mps - a.params.v_mps) < 1e-9
+    assert abs(b.params.t_c_s - a.params.t_c_s - 0.03) < 1e-12
+    assert abs(b.log_lik - a.log_lik) < 1e-8
+
+
+def test_refinement_step_cap_leaves_fit_unconverged(monkeypatch):
+    from cavity_transit import reconstruct
+
+    monkeypatch.setattr(reconstruct, "MAX_REFINE_STEPS", 1)
+    trace = sample_counts(expected_trace(CFG, Trajectory(-16.3, 0.39), DET), DET, 0)
+    fit = fit_transit(CFG, DET, trace)
+    assert fit.converged is False
+    sigmas = (fit.sigma_y_um, fit.sigma_v_mps, fit.sigma_tc_s)
+    assert np.all(np.isfinite([*dataclasses.astuple(fit.params), *sigmas]))
+
+
 def test_sigma_is_inverse_expected_information():
     # sigma is sqrt(diag(I^-1)) for the expected Poisson information
     # I = sum dlam dlam^T / lam of (y, v, t_c) at the fitted parameters, with
