@@ -8,18 +8,21 @@ fixed-coupling scans, degeneracy, ensemble, thermometry from an ensemble
 and from fits, 12 transits with background, a single fit and a batch fit.
 One transit reads a config file (`run.cfg`: a seed and a tilt), overrides a
 key by flag and dumps its effective configuration to `dump.cfg`, which is
-compared like its trace.  Seven bad-input commands follow: a one-sample and
-a reversed fixed-coupling scan, a fit of a malformed trace, a fit of a good
-trace with a zero empty-cavity rate, thermometry over a fit directory whose
-one fit JSON lacks `v_mps`, and two transits that argparse refuses, one
-with a non-numeric value and one with an unknown flag.  The exit code of
-every command (the code of a SystemExit, or 1 for an exception the CLI
-does not catch) is written to `exit_codes.txt` and whatever it printed to
-stderr to `stderr.txt`, with the tree's `src` path replaced by `<src>` so
-that the same warning from two trees reads the same.  Both files are
-compared like any other output, and their differing lines are printed.
-For a differing CSV with the same row count, the number of differing rows
-and the largest relative difference of its numeric fields are printed too.
+compared like its trace.  Fifteen bad-input commands follow: a one-sample
+and a reversed fixed-coupling scan, a fit of a malformed trace, a fit of a
+good trace with a zero empty-cavity rate, thermometry over a fit directory
+whose one fit JSON lacks `v_mps`, two transits that argparse refuses (one
+with a non-numeric value and one with an unknown flag), a position scan at
+y = NaN, a detuning scan at x = NaN, fixed-coupling scans at g = NaN and
+g = inf, and mode images with a NaN or negative extent and with 0 and 1
+samples.  The exit code of every command (the code of a SystemExit, or 1
+for an exception the CLI does not catch) is written to `exit_codes.txt`
+and whatever it printed to stderr to `stderr.txt`, with the tree's `src`
+path replaced by `<src>` so that the same warning from two trees reads the
+same.  Both files are compared like any other output, and their differing
+lines are printed.  For a differing CSV with the same row count, the number
+of differing rows and the largest relative difference of its numeric
+fields are printed too.
 
 Usage: python scripts/compare_cli_outputs.py SRC_A SRC_B
 
@@ -80,6 +83,14 @@ COMMANDS = [
     ["thermometry", "--fits=fits_missing_key", "--out=bad_temperature.json"],
     ["transit", "--y=0", "--v=0.4", "--tilt-deg=abc", "--out=bad_transit_tilt.csv"],
     ["transit", "--y=0", "--v=0.4", "--bogus=1", "--out=bad_transit_flag.csv"],
+    ["scan", "--axis=pos", "--y=nan", "--out=bad_scan_pos_y_nan.csv"],
+    ["scan", "--axis=freq", "--x=nan", "--out=bad_scan_freq_x_nan.csv"],
+    ["scan", "--axis=freq", "--g=nan", "--out=bad_scan_g_nan.csv"],
+    ["scan", "--axis=freq", "--g=inf", "--out=bad_scan_g_inf.csv"],
+    ["mode-image", "--extent-um=nan", "--out=bad_mode_image_nan.csv"],
+    ["mode-image", "--samples=0", "--out=bad_mode_image_0.csv"],
+    ["mode-image", "--samples=1", "--out=bad_mode_image_1.csv"],
+    ["mode-image", "--extent-um=-5", "--out=bad_mode_image_negative.csv"],
 ]
 
 RUN_CONFIG = "# a config file read by one transit\nseed = 4\ntilt_deg = 30\n"

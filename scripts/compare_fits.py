@@ -49,7 +49,7 @@ CASES = [
 # Runs inside the fresh interpreter: argv is (src,); prints one JSON list
 # per case, each item a FitResult dict or an error string.
 DRIVER = """
-import json, sys
+import dataclasses, json, sys
 sys.path.insert(0, sys.argv[1])
 from cavity_transit import (
     DetectorConfig, ModeGeometry, ModeIndex, SystemConfig, Trajectory, expected_trace, fit_transit, sample_counts
@@ -62,7 +62,9 @@ for label, mode, tilt, y, v, t_c, background, seeds in CASES:
     fits = []
     for seed in range(seeds):
         try:
-            fits.append(fit_transit(cfg, det, sample_counts(clean, det, seed)).to_dict())
+            fit = fit_transit(cfg, det, sample_counts(clean, det, seed))
+            # a tree whose FitResult nests its parameters flattens them in to_dict
+            fits.append(fit.to_dict() if hasattr(fit, "to_dict") else dataclasses.asdict(fit))
         except ValueError as exc:
             fits.append(f"{type(exc).__name__}: {exc}")
     out.append(fits)

@@ -22,7 +22,6 @@ from .modes import (
     hermite,
     lab_to_mode,
     mode_amplitude,
-    mode_to_lab,
     normalization_constant,
     relative_amplitude,
 )

@@ -76,10 +76,7 @@ def _out_path(rc: RunConfig, default: str) -> Path:
 
 def cmd_mode_image(args, rc: RunConfig) -> int:
     cfg = system_config(rc)
-    n = args.samples
-    extent = args.extent_um
-    x = np.linspace(-extent, extent, n)
-    y = np.linspace(-extent, extent, n)
+    x = y = _scan_axis("image", (-args.extent_um, args.extent_um), args.samples)
     xx, yy = np.meshgrid(x, y)
     mp = lab_to_mode(LabPoint(xx, yy, 0.0), cfg.geometry.tilt_deg)
     intensity = mode_amplitude(cfg.mode, cfg.geometry, mp) ** 2
@@ -106,8 +103,8 @@ def cmd_scan(args, rc: RunConfig) -> int:
         fileio.write_scan_csv(_out_path(rc, "scan.csv"), "x_um", x, T)
     else:
         if args.g is not None:
-            if args.g < 0:
-                raise ConfigError(f"--g must be non-negative, got {args.g}")
+            if not 0 <= args.g < np.inf:
+                raise ConfigError(f"--g must be non-negative and finite, got {args.g}")
             deltas = _scan_axis("detuning", (args.delta_min, args.delta_max), args.samples)
             detunings = Detunings(deltas, cfg.detunings.delta_ca)
             T = transmission_vs_coupling(args.g, cfg.rates, detunings, cfg.cross_term_sign)

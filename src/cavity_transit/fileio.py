@@ -17,7 +17,7 @@ import numpy as np
 
 from .detector import TransitTrace, _time_axis_fault
 from .kinematics import EnsembleRecord
-from .reconstruct import FitParams, FitResult
+from .reconstruct import FitResult
 from .thermometry import TemperatureEstimate
 
 _TRACE_HEADER = "t_s,expected_T,counts"
@@ -122,7 +122,7 @@ def read_ensemble_csv(path) -> list[EnsembleRecord]:
 
 
 def write_fit_json(path, result: FitResult) -> None:
-    _write_json(path, result.to_dict())
+    _write_json(path, asdict(result))
 
 
 def read_fit_json(path) -> FitResult:
@@ -135,12 +135,12 @@ def read_fit_json(path) -> FitResult:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(d).__name__}")
-    for f in (*fields(FitParams), *fields(FitResult)[1:]):
+    for f in fields(FitResult):
         if f.name not in d:
             raise ValueError(f"{path}: missing key {f.name!r}")
         if f.type == "float" and type(d[f.name]) not in (int, float):
             raise ValueError(f"{path}: {f.name} must be a number, got {d[f.name]!r}")
-    return FitResult.from_dict(d)
+    return FitResult(**{f.name: d[f.name] for f in fields(FitResult)})
 
 
 def write_temperature_json(path, est: TemperatureEstimate) -> None:

@@ -69,14 +69,14 @@ def x_at(tr: Trajectory, t) -> float:
     return tr.v_mps * (np.asarray(t) - tr.t_c_s) * 1e6
 
 
-def arrival_from_initial(fc: FallConfig, v0_mps: float) -> tuple[float, float]:
+def arrival_from_initial(fc: FallConfig, v0_mps) -> tuple[float, float]:
     """Arrival time (s) and speed (m/s) at the mode for an initial velocity.
 
     v_arr = sqrt(v0^2 + 2 g h), t_arr = (v_arr - v0) / g.  Holds for both
-    signs of v0 (positive downward).
+    signs of v0 (positive downward), and elementwise for an array of v0.
     """
     g, h = fc.gravity_mps2, fc.drop_height_m
-    v_arr = math.sqrt(v0_mps**2 + 2.0 * g * h)
+    v_arr = np.sqrt(v0_mps**2 + 2.0 * g * h)
     return (v_arr - v0_mps) / g, v_arr
 
 
@@ -107,9 +107,7 @@ def sample_ensemble(
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(K_BOLTZMANN * temperature_k / atom_mass_kg)
     v0 = rng.normal(0.0, sigma, n)
-    g, h = fc.gravity_mps2, fc.drop_height_m
-    v_arr = np.sqrt(v0**2 + 2.0 * g * h)
-    t_arr = (v_arr - v0) / g
+    t_arr, v_arr = arrival_from_initial(fc, v0)
     if timing_jitter_s > 0:
         t_arr = t_arr + rng.normal(0.0, timing_jitter_s, n)
     return [

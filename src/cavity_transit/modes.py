@@ -100,17 +100,11 @@ def lab_to_mode(p: LabPoint, tilt_deg: float) -> ModePoint:
     """Rotate a lab-frame point into the mode frame.
 
     (x_m, y_m) = (x cos t + y sin t, -x sin t + y cos t); z is unchanged.
+    The inverse rotation is lab_to_mode(p, -tilt_deg).
     """
     t = math.radians(tilt_deg)
     c, s = math.cos(t), math.sin(t)
     return ModePoint(p.x * c + p.y * s, -p.x * s + p.y * c, p.z)
-
-
-def mode_to_lab(p: ModePoint, tilt_deg: float) -> LabPoint:
-    """Inverse of :func:`lab_to_mode`."""
-    t = math.radians(tilt_deg)
-    c, s = math.cos(t), math.sin(t)
-    return LabPoint(p.x * c - p.y * s, p.x * s + p.y * c, p.z)
 
 
 def normalization_constant(idx: ModeIndex, geo: ModeGeometry) -> float:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +35,7 @@ V_GRID_MPS = (0.25, 0.65, 0.025)
 
 MAX_REFINE_STEPS = 50
 REFINE_TOL = 1e-9  # log-likelihood units a Newton step must be predicted to gain
-SIGN_RESOLVE_MARGIN = 1.0  # log-likelihood units
+SIGN_RESOLVE_MARGIN = 10.0  # log-likelihood units by which the mirror must lose
 
 DIP_DEPTH_MIN = 0.5  # fraction of baseline the smoothed minimum must fall below
 
@@ -61,7 +62,9 @@ class FitParams:
 
 @dataclass(frozen=True)
 class FitResult:
-    params: FitParams
+    y_off_um: float
+    v_mps: float
+    t_c_s: float
     sigma_y_um: float
     sigma_v_mps: float
     sigma_tc_s: float
@@ -71,20 +74,14 @@ class FitResult:
     n_evals: int
 
     @property
+    def params(self) -> FitParams:
+        """The fitted (y_off, v, t_c), as `log_likelihood` takes them."""
+        return FitParams(self.y_off_um, self.v_mps, self.t_c_s)
+
+    @property
     def sign_resolved(self) -> bool:
-        """True when the mirrored hypothesis is excluded by a clear margin."""
-        return self.log_lik - self.mirror_log_lik >= SIGN_RESOLVE_MARGIN
-
-    def to_dict(self) -> dict:
-        """Flat dict: the FitParams fields, then the others, in declaration order."""
-        d = asdict(self)
-        params = d.pop("params")
-        return {**params, **d}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitResult":
-        params = FitParams(**{f.name: d[f.name] for f in fields(FitParams)})
-        return cls(params, **{f.name: d[f.name] for f in fields(cls) if f.name != "params"})
+        """True when the mirrored hypothesis loses by more than SIGN_RESOLVE_MARGIN."""
+        return self.log_lik - self.mirror_log_lik > SIGN_RESOLVE_MARGIN
 
 
 @dataclass(frozen=True)
@@ -207,8 +204,10 @@ def fit_transit(
     explicitly; it is not a free fit parameter, and a rate that is not
     positive and finite raises ValueError.  A trace with no dip (see
     `_require_dip`) raises NoTransitError.  The coarse grid scans y_off
-    over +-Y_HALFWIDTH_WAISTS waists, v over V_GRID_MPS and t_c over every
-    bin centre.  The grid's rates are evaluated once per (y_off, v, bin
+    over +-Y_HALFWIDTH_WAISTS waists, v over V_GRID_MPS (0.25-0.65 m/s)
+    and t_c over every bin centre; a transit much faster than the grid's
+    top speed is not recovered, and may be reported converged on a wrong
+    y_off.  The grid's rates are evaluated once per (y_off, v, bin
     offset), so the trace's time axis must be finite, strictly increasing
     and uniform, each step within 1e-6 of the median step, or ValueError
     names the first bad bin.  Then, for each sign of y_off, Newton runs
@@ -216,8 +215,8 @@ def fit_transit(
     neighbouring crossing times, and are held to that sign (y_off = 0 is
     allowed on both sides); the best run is the side's.  Returns the
     parameters of the better side, their uncertainties from the inverse
-    expected Poisson information of its last local model (flux0 held
-    fixed) and, as mirror_log_lik, the log-likelihood of the other side.
+    expected Poisson information of its best run's last local model (flux0
+    held fixed) and, as mirror_log_lik, the log-likelihood of the other side.
     """
     if trace.counts is None:
         raise ValueError("trace has no counts to fit")
@@ -247,12 +246,19 @@ def fit_transit(
         sides.append(max(runs, key=lambda run: run.ll))
     best, mirror = sorted(sides, key=lambda run: -run.ll)
 
+    # sigma = sqrt(diag(I^-1)) of the winning run's last expected information,
+    # NaN for a non-positive diagonal entry or a singular I
+    try:
+        diag = np.diag(np.linalg.inv(best.expected))
+        sigma = np.where(diag > 0, np.abs(best.h) * np.sqrt(np.abs(diag)), np.nan)
+    except np.linalg.LinAlgError:
+        sigma = np.full(3, np.nan)
     ln_fact = _ln_factorial_sum(k)
     return FitResult(
-        params=FitParams(*(float(v) for v in best.x)),
-        sigma_y_um=float(best.sigma[0]),
-        sigma_v_mps=float(best.sigma[1]),
-        sigma_tc_s=float(best.sigma[2]),
+        *(float(v) for v in best.x),
+        sigma_y_um=float(sigma[0]),
+        sigma_v_mps=float(sigma[1]),
+        sigma_tc_s=float(sigma[2]),
         log_lik=float(best.ll - ln_fact),
         mirror_log_lik=float(mirror.ll - ln_fact),
         converged=best.converged,
@@ -260,13 +266,14 @@ def fit_transit(
     )
 
 
-def _local_rates(cfg, t, theta, side, flux0_cps, background_cps, binw_s):
-    """(lam, J, D2, h): the rates at theta = (y, v, t_c), their first and
-    second derivatives per step h = _INFO_STEP * (side * w0, v, bin width),
-    J of shape (3, n) and D2 of shape (3, 3, n), and h.  One rate call
-    covers the 10 hypotheses theta, theta +- h_i and theta + h_i + h_j
-    (i < j).  h_y points into the side, so mirror-image runs do the same
-    arithmetic."""
+def _local_model(cfg, t, k, side, flux0_cps, background_cps, binw_s, theta):
+    """(ll, score, observed, expected, h): sum(k ln lam - lam) at theta =
+    (y, v, t_c), its gradient and the observed and expected information,
+    all per step h = _INFO_STEP * (side * w0, v, bin width), and h.  One
+    rate call covers the 10 hypotheses theta, theta +- h_i and theta + h_i
+    + h_j (i < j), which give the rates' central first and second
+    differences.  h_y points into the side, so mirror-image runs do the
+    same arithmetic."""
     h = _INFO_STEP * np.array([side * cfg.geometry.w0_um, theta[1], binw_s])
     e = np.diag(h)
     hyp = np.concatenate([theta[None], theta + e, theta - e, [theta + e[i] + e[j] for i, j in _PAIRS]])
@@ -276,12 +283,16 @@ def _local_rates(cfg, t, theta, side, flux0_cps, background_cps, binw_s):
     d2[[0, 1, 2], [0, 1, 2]] = plus - 2.0 * lam0 + minus
     for (i, j), lam_ij in zip(_PAIRS, lam[7:]):
         d2[i, j] = d2[j, i] = lam_ij - plus[i] - plus[j] + lam0
-    return lam0, (plus - minus) / 2.0, d2, h
+    jac = (plus - minus) / 2.0
+    resid = k / lam0 - 1.0
+    observed = (jac * (k / lam0**2)) @ jac.T - d2 @ resid
+    return _poisson_loglik(k, lam0), jac @ resid, observed, (jac / lam0) @ jac.T, h
 
 
-# End of one Newton run: (y, v, t_c), its log-likelihood without ln k!,
-# sigma, whether it converged and the number of rate hypotheses evaluated.
-Refinement = namedtuple("Refinement", "x ll sigma converged nfev")
+# End of one Newton run: (y, v, t_c), its log-likelihood without ln k!, the
+# expected information of its last local model and that model's step h,
+# whether it converged and the number of rate hypotheses evaluated.
+Refinement = namedtuple("Refinement", "x ll expected h converged nfev")
 
 
 def minimize(cfg, t, k, theta, side, flux0_cps, background_cps, binw_s) -> Refinement:
@@ -289,24 +300,16 @@ def minimize(cfg, t, k, theta, side, flux0_cps, background_cps, binw_s) -> Refin
     sign(y) held to side (named for the benchmark's tracer, which wraps it).
 
     A step solves I step = score by least squares, with I the observed
-    information of `_local_rates`, or the expected one, J diag(1/lam) J^T,
+    information of `_local_model`, or the expected one, J diag(1/lam) J^T,
     where the observed one is not positive definite.  At y = 0, while the
     score points across the bound, y is held; a trial's y is clipped to the
     side.  A step is halved until the log-likelihood does not fall at a
     positive speed.  Converged once a step is predicted to gain under
     REFINE_TOL; unconverged after MAX_REFINE_STEPS steps.
     """
-    nfev = 0
-
-    def model(theta):
-        nonlocal nfev
-        lam, jac, d2, h = _local_rates(cfg, t, theta, side, flux0_cps, background_cps, binw_s)
-        nfev += 10
-        resid = k / lam - 1.0
-        observed = (jac * (k / lam**2)) @ jac.T - d2 @ resid
-        return _poisson_loglik(k, lam), jac @ resid, observed, (jac / lam) @ jac.T, h
-
+    model = partial(_local_model, cfg, t, k, side, flux0_cps, background_cps, binw_s)
     ll, score, observed, expected, h = model(theta)
+    nfev = 10
     converged = False
     for _ in range(MAX_REFINE_STEPS):
         free = np.array([theta[0] != 0 or score[0] > 0, True, True])
@@ -319,6 +322,7 @@ def minimize(cfg, t, k, theta, side, flux0_cps, background_cps, binw_s) -> Refin
             trial = theta + step * h
             trial[0] = side * max(side * trial[0], 0.0)
             at_trial = model(trial)
+            nfev += 10
             if trial[1] > 0 and at_trial[0] >= ll:
                 break
             step, gain = step / 2.0, gain / 2.0
@@ -327,14 +331,7 @@ def minimize(cfg, t, k, theta, side, flux0_cps, background_cps, binw_s) -> Refin
             break
         theta = trial
         ll, score, observed, expected, h = at_trial
-    # sigma = sqrt(diag(I^-1)) of the last expected information, NaN for a
-    # non-positive diagonal entry or a singular I
-    try:
-        diag = np.diag(np.linalg.inv(expected))
-        sigma = np.where(diag > 0, np.abs(h) * np.sqrt(np.abs(diag)), np.nan)
-    except np.linalg.LinAlgError:
-        sigma = np.full(3, np.nan)
-    return Refinement(theta, float(ll), sigma, converged, nfev)
+    return Refinement(theta, float(ll), expected, h, converged, nfev)
 
 
 _TRANSFORMS = {

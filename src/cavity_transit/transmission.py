@@ -134,6 +134,8 @@ def position_scan(cfg: SystemConfig, y_lab_um: float, x_range_um: tuple, samples
 
     Returns (x, T) arrays with x uniformly sampled over x_range_um.
     """
+    if not math.isfinite(y_lab_um):
+        raise ValueError(f"off-axis position y must be finite, got {y_lab_um}")
     x = _scan_axis("position", x_range_um, samples)
     return x, transmission_at(cfg, LabPoint(x, y_lab_um, 0.0))
 
@@ -143,6 +145,9 @@ def detuning_scan(cfg: SystemConfig, p: LabPoint, delta_pa_range_mhz: tuple, sam
 
     delta_ca is held at the configured value.  Returns (delta_pa, T).
     """
+    for name, value in p._asdict().items():
+        if not math.isfinite(value):
+            raise ValueError(f"scan point {name} must be finite, got {value}")
     deltas = _scan_axis("detuning", delta_pa_range_mhz, samples)
     cfg = replace(cfg, detunings=Detunings(deltas, cfg.detunings.delta_ca))
     return deltas, transmission_at(cfg, p)

@@ -56,7 +56,7 @@ def run_mc_fits(y_um: float, v_mps: float, n_seeds: int = MC_SEEDS, flux0_cps: f
         "fits": fits,
         "err_y": np.array([abs(f.params.y_off_um - y_um) for f in fits]),
         "err_v": np.array([abs(f.params.v_mps - v_mps) for f in fits]),
-        "dll": np.array([f.log_lik - f.mirror_log_lik for f in fits]),
+        "sign_resolved": np.array([f.sign_resolved for f in fits]),
         "sigma_y": np.array([f.sigma_y_um for f in fits]),
         "y_hat": np.array([f.params.y_off_um for f in fits]),
     }

@@ -36,6 +36,7 @@ from cavity_transit import (
 )
 from cavity_transit.config import CESIUM_MASS_KG
 from cavity_transit.detector import expected_bin_counts
+from cavity_transit.reconstruct import SIGN_RESOLVE_MARGIN
 from conftest import MC_SEEDS, quad_norm, run_mc_fits
 
 import dataclasses
@@ -249,7 +250,7 @@ def test_criterion_06_fit_recovery_monte_carlo(mc_study):
     # the mirror hypothesis by a clear margin
     resolved = np.concatenate(
         [
-            (np.sign(s["y_hat"]) == np.sign(k[0])) & (s["dll"] > 10.0)
+            (np.sign(s["y_hat"]) == np.sign(k[0])) & s["sign_resolved"]
             for k, s in settings.items()
             if k[0] != 0.0
         ]
@@ -270,7 +271,9 @@ def test_criterion_06_fit_recovery_monte_carlo(mc_study):
             f"median |v_hat - v| = {med_v[k]:.4f} m/s"
         )
     print(f"  pooled median |y_hat - y| over all {len(settings) * MC_SEEDS} fits: {pooled_y:.3f} um")
-    print(f"  sign resolved (true sign, dll > 10) in {sign_fraction * 100:.1f}% of non-zero-y fits")
+    print(
+        f"  sign resolved (true sign, dll > {SIGN_RESOLVE_MARGIN:g}) in {sign_fraction * 100:.1f}% of non-zero-y fits"
+    )
     for flux, (ey, ev) in calibration.items():
         print(f"  calibration at flux0 = {flux:.0e} cps: median |ey| = {ey:.3f} um, |ev| = {ev:.4f} m/s")
 

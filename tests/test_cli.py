@@ -15,7 +15,6 @@ from cavity_transit import (
     DetectorConfig,
     Detunings,
     FallConfig,
-    FitParams,
     FitResult,
     ModeGeometry,
     ModeIndex,
@@ -127,6 +126,28 @@ def test_position_scan_bounds_must_be_finite(tmp_path, capsys):
     assert run("scan", "--axis", "pos", "--x-max", "inf", "--samples", 5, "--out", out) == 2
     assert "position range bounds must be finite, got (-80.0, inf)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("scan", "--axis", "pos", "--y", "nan"), "off-axis position y must be finite, got nan"),
+        (("scan", "--axis", "freq", "--x", "nan"), "scan point x must be finite, got nan"),
+        (("scan", "--axis", "freq", "--y", "inf"), "scan point y must be finite, got inf"),
+        (("scan", "--axis", "freq", "--g", "nan"), "--g must be non-negative and finite, got nan"),
+        (("scan", "--axis", "freq", "--g", "inf"), "--g must be non-negative and finite, got inf"),
+        (("mode-image", "--extent-um", "nan"), "image range bounds must be finite, got (nan, nan)"),
+        (("mode-image", "--extent-um", -5), "empty image range (5.0, -5.0)"),
+        (("mode-image", "--samples", 0), "need at least 2 samples, got 0"),
+        (("mode-image", "--samples", 1), "need at least 2 samples, got 1"),
+    ],
+    ids=["pos-y-nan", "freq-x-nan", "freq-y-inf", "g-nan", "g-inf", "image-nan", "image-negative", "image-0", "image-1"],
+)
+def test_degenerate_scan_and_image_arguments_write_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_trace_reports_line_number(tmp_path, capsys):
@@ -253,7 +274,7 @@ def test_thermometry_from_fit_directory(tmp_path):
         t_arr, v_arr = arrival_from_initial(fc, v0)
         write_fit_json(
             fits_dir / f"fit_{i:03d}.json",
-            FitResult(FitParams(0.0, v_arr, t_arr), 0.1, 0.005, 1e-6, -100.0, -150.0, True, 1),
+            FitResult(0.0, v_arr, t_arr, 0.1, 0.005, 1e-6, -100.0, -150.0, True, 1),
         )
     temp = tmp_path / "temp.json"
     assert run("thermometry", "--fits", fits_dir, "--out", temp) == 0
@@ -275,7 +296,7 @@ def test_thermometry_rejects_a_bad_fit_json(tmp_path, capsys, edit, message):
     fits_dir = tmp_path / "fits"
     fits_dir.mkdir()
     good, bad = fits_dir / "a.json", fits_dir / "b.json"
-    write_fit_json(good, FitResult(FitParams(0.0, 0.4, 0.3), 0.1, 0.005, 1e-6, -100.0, -150.0, True, 1))
+    write_fit_json(good, FitResult(0.0, 0.4, 0.3, 0.1, 0.005, 1e-6, -100.0, -150.0, True, 1))
     d = json.loads(good.read_text())
     edit(d)
     bad.write_text(json.dumps(d))
@@ -367,7 +388,7 @@ def test_degeneracy_report_json(tmp_path):
 def test_fit_nonconvergence_exit_code(tmp_path, monkeypatch):
     import cavity_transit.cli as cli
 
-    stuck = FitResult(FitParams(0.0, 0.42, 0.0), 1.0, 0.01, 1e-6, -1.0, -1.0, False, 99)
+    stuck = FitResult(0.0, 0.42, 0.0, 1.0, 0.01, 1e-6, -1.0, -1.0, False, 99)
     monkeypatch.setattr(cli, "fit_transit", lambda *a, **kw: stuck)
     trace = tmp_path / "trace.csv"
     run("transit", "--y", 0, "--v", 0.42, "--out", trace)

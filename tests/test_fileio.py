@@ -1,7 +1,9 @@
 """Wire-format round trips: every file must reload to the exact values."""
 
+import json
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from cavity_transit import (
     DetectorConfig,
     EnsembleRecord,
     FallConfig,
+    FitResult,
     SystemConfig,
+    TemperatureEstimate,
     Trajectory,
     TransitTrace,
     expected_trace,
@@ -32,7 +36,9 @@ from cavity_transit.fileio import (
     read_fit_json,
     read_trace_csv,
     write_ensemble_csv,
+    write_fit_json,
     write_scan_csv,
+    write_temperature_json,
     write_trace_csv,
 )
 from cavity_transit.svgplot import heatmap_svg
@@ -151,6 +157,52 @@ def test_ensemble_csv_round_trip_property(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("ensemble") / "ens.csv"
     write_ensemble_csv(path, records)
     assert read_ensemble_csv(path) == records
+
+
+def _same_fields(a, b) -> bool:
+    """Field-wise equality of two dataclass instances, type included, with NaN equal to NaN."""
+    return all(
+        type(x) is type(y) and (x == y or (x != x and y != y)) for x, y in zip(astuple(a), astuple(b))
+    )
+
+
+@given(
+    st.builds(
+        FitResult,
+        y_off_um=_finite,
+        v_mps=_finite,
+        t_c_s=_finite,
+        sigma_y_um=st.floats(),
+        sigma_v_mps=st.floats(),
+        sigma_tc_s=st.floats(),
+        log_lik=_finite,
+        mirror_log_lik=_finite,
+        converged=st.booleans(),
+        n_evals=st.integers(0, 2**62),
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_fit_json_round_trip_property(tmp_path_factory, result):
+    path = tmp_path_factory.mktemp("fit") / "fit.json"
+    write_fit_json(path, result)
+    assert _same_fields(read_fit_json(path), result)
+
+
+@given(
+    st.builds(
+        TemperatureEstimate,
+        temperature_k=st.floats(),
+        sigma_t_k=st.floats(),
+        n_used=st.integers(0, 2**62),
+        v_min_mps=st.floats(),
+        t_min_ms=st.floats(),
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_temperature_json_round_trip_property(tmp_path_factory, est):
+    path = tmp_path_factory.mktemp("temperature") / "temperature.json"
+    write_temperature_json(path, est)
+    assert _same_fields(TemperatureEstimate(**json.loads(path.read_text())), est)
 
 
 def test_ensemble_round_trips_exactly(tmp_path):

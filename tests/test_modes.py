@@ -18,7 +18,6 @@ from cavity_transit import (
     hermite,
     lab_to_mode,
     mode_amplitude,
-    mode_to_lab,
     normalization_constant,
     relative_amplitude,
 )
@@ -88,7 +87,7 @@ def test_rotation_identity_and_45deg():
     q = lab_to_mode(LabPoint(1.0, 0.0, 0.0), 45.0)
     assert q.x == pytest.approx(0.70711, abs=1e-5)
     assert q.y == pytest.approx(-0.70711, abs=1e-5)
-    back = mode_to_lab(ModePoint(0.70711, -0.70711, 0.0), 45.0)
+    back = lab_to_mode(LabPoint(0.70711, -0.70711, 0.0), -45.0)
     assert back.x == pytest.approx(1.0, abs=1e-5)
     assert back.y == pytest.approx(0.0, abs=1e-5)
 
@@ -98,7 +97,7 @@ def test_rotation_round_trip_1000_points():
     pts = rng.uniform(-100, 100, (1000, 3))
     angles = rng.uniform(-90, 90, 1000)
     for (x, y, z), theta in zip(pts, angles):
-        back = mode_to_lab(lab_to_mode(LabPoint(x, y, z), theta), theta)
+        back = lab_to_mode(lab_to_mode(LabPoint(x, y, z), theta), -theta)
         assert abs(back.x - x) < 1e-12
         assert abs(back.y - y) < 1e-12
         assert back.z == z

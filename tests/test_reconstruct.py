@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cavity_transit import (
     DetectorConfig,
@@ -31,7 +33,7 @@ from cavity_transit import (
     x_resolution,
 )
 from cavity_transit.detector import expected_bin_counts
-from cavity_transit.reconstruct import _bin_rates, _coarse_grid, _poisson_loglik
+from cavity_transit.reconstruct import SIGN_RESOLVE_MARGIN, _bin_rates, _coarse_grid, _poisson_loglik
 
 CFG = SystemConfig()
 CFG_UNTILTED = SystemConfig(geometry=ModeGeometry(tilt_deg=0.0))
@@ -278,6 +280,35 @@ def test_untilted_mode_leaves_sign_unresolved(y_um, v_mps):
         assert abs(fit.log_lik - fit.mirror_log_lik) <= 1e-6
 
 
+@given(
+    mode=st.sampled_from([(1, 0), (1, 1), (2, 1)]),
+    # quarter degrees: ModeGeometry's normalization into [-90, 90) keeps
+    # them exact, so the two tilts are exact negatives of each other
+    tilt=st.one_of(st.integers(-320, -20), st.integers(20, 320)).map(lambda q: q / 4.0),
+    y_um=st.floats(-30.0, 30.0),
+    v_mps=st.floats(0.3, 0.6),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=10, deadline=None)
+def test_tilt_flip_mirrors_the_fit(mode, tilt, y_um, v_mps, seed):
+    # rotating the mode by -tilt maps the transmission at (x, y) to that at
+    # (x, -y), so the same counts fit the mirrored trajectory; TEM00 is left
+    # out, since its y-mirror is exact and the side it picks is arbitrary
+    cfg, flipped = (SystemConfig(mode=ModeIndex(*mode), geometry=ModeGeometry(tilt_deg=t)) for t in (tilt, -tilt))
+    trace = sample_counts(expected_trace(cfg, Trajectory(y_um, v_mps), DET), DET, seed)
+    try:
+        a = fit_transit(cfg, DET, trace)
+    except NoTransitError:
+        assume(False)
+    assume(a.log_lik - a.mirror_log_lik >= 1e-6)
+    b = fit_transit(flipped, DET, trace)
+    assert abs(a.y_off_um + b.y_off_um) <= 1e-8
+    assert b.v_mps == pytest.approx(a.v_mps, rel=1e-10, abs=0.0)
+    assert abs(b.t_c_s - a.t_c_s) <= 1e-13
+    assert abs(b.log_lik - a.log_lik) <= 1e-8
+    assert abs(b.mirror_log_lik - a.mirror_log_lik) <= 1e-8
+
+
 @pytest.mark.parametrize("seed", [18, 59, 87])
 def test_flat_floored_dip_fits_true_trajectory(seed):
     # at (-16.3, 0.39) the dark lobe floors about ten bins at zero counts, so
@@ -385,8 +416,7 @@ def test_fisher_sigma_tracks_monte_carlo_spread(mc_study):
 
 
 def test_right_transit_sign_resolution(mc_study):
-    dll = mc_study[(18.0, 0.42)]["dll"]
-    assert np.mean(dll > 10.0) >= 0.95
+    assert np.mean(mc_study[(18.0, 0.42)]["sign_resolved"]) >= 0.95
 
 
 def test_fit_results_are_finite_and_converged(mc_study):
@@ -456,11 +486,23 @@ def test_x_resolution():
         x_resolution(0.0, DET)
 
 
+@pytest.mark.parametrize("margin, resolved", [(10.0, False), (10.5, True), (-20.0, False)])
+def test_sign_resolved_is_strictly_above_the_margin(margin, resolved):
+    fit = FitResult(1.0, 0.4, 0.0, 0.1, 0.005, 1e-6, -100.0, -100.0 - margin, True, 1)
+    # criterion 6 and the right-transit test count sign_resolved, so a lower
+    # margin would loosen them
+    assert SIGN_RESOLVE_MARGIN == 10.0
+    assert fit.sign_resolved is resolved
+    assert fit.params == FitParams(1.0, 0.4, 0.0)
+
+
 def test_fit_result_json_round_trip(tmp_path):
     from cavity_transit.fileio import read_fit_json, write_fit_json
 
     result = FitResult(
-        params=FitParams(-16.3, 0.39, 1e-4),
+        y_off_um=-16.3,
+        v_mps=0.39,
+        t_c_s=1e-4,
         sigma_y_um=0.4,
         sigma_v_mps=0.005,
         sigma_tc_s=1e-6,

@@ -8,7 +8,6 @@ import pytest
 from cavity_transit import (
     EnsembleRecord,
     FallConfig,
-    FitParams,
     FitResult,
     arrival_from_initial,
     estimate_temperature,
@@ -134,7 +133,9 @@ def test_estimate_rejects_an_atom_mass_that_is_not_positive_and_finite(mass_kg):
 def test_records_from_fits_pairs_speed_with_arrival_time():
     t_arr, v_arr = arrival_from_initial(FC, 0.12)
     fit = FitResult(
-        params=FitParams(-16.3, v_arr, t_arr),
+        y_off_um=-16.3,
+        v_mps=v_arr,
+        t_c_s=t_arr,
         sigma_y_um=0.1,
         sigma_v_mps=0.005,
         sigma_tc_s=1e-6,

@@ -181,6 +181,9 @@ def test_position_scan_validation():
         position_scan(cfg, 0.0, (-10.0, 10.0), 1)
     with pytest.raises(ValueError):
         position_scan(cfg, 0.0, (10.0, -10.0), 100)
+    for y in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="off-axis position y must be finite"):
+            position_scan(cfg, y, (-10.0, 10.0), 100)
 
 
 def test_detuning_scan_lorentzian_at_node():
@@ -223,6 +226,10 @@ def test_detuning_scan_validation():
     cfg = SystemConfig()
     with pytest.raises(ValueError):
         detuning_scan(cfg, LabPoint(0.0, 0.0, 0.0), (5.0, -5.0), 100)
+    for bad in (LabPoint(math.nan, 0.0), LabPoint(0.0, -math.inf), LabPoint(0.0, 0.0, math.nan)):
+        name = next(k for k, v in bad._asdict().items() if not math.isfinite(v))
+        with pytest.raises(ValueError, match=f"scan point {name} must be finite"):
+            detuning_scan(cfg, bad, (-5.0, 5.0), 100)
 
 
 def test_scan_is_pointwise_reproducible():
