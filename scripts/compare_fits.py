@@ -15,7 +15,11 @@ recorded as its error message.
 
 Printed: the number of fits that differ per case, the number that differ in
 each field, the largest |difference| of each field, and the lowest
-difference B - A of `log_lik` and `mirror_log_lik`.  NaN equals NaN.
+difference B - A of `log_lik` and `mirror_log_lik`.  NaN equals NaN.  Each
+case also shows each tree's mean wall time per fit, and the last line the
+ratio of the totals.  These times are informational: the trees run one
+after the other on a possibly busy host, and the first case pays each
+process's one-time costs.  Speed claims rest on `benchmarks/run.py`.
 
 Usage: python scripts/compare_fits.py SRC_A SRC_B
 
@@ -46,33 +50,38 @@ CASES = [
     ("TEM21 30 deg (-17, 0.45)", (2, 1), 30.0, -17.0, 0.45, 0.0, 0.0, 25),
 ]
 
-# Runs inside the fresh interpreter: argv is (src,); prints one JSON list
-# per case, each item a FitResult dict or an error string.
+# Runs inside the fresh interpreter: argv is (src,); prints one JSON object:
+# "fits" holds one list per case, each item a FitResult dict or an error
+# string, and "seconds" the wall time of each case's fit_transit calls.
 DRIVER = """
-import dataclasses, json, sys
+import dataclasses, json, sys, time
 sys.path.insert(0, sys.argv[1])
 from cavity_transit import (
     DetectorConfig, ModeGeometry, ModeIndex, SystemConfig, Trajectory, expected_trace, fit_transit, sample_counts
 )
-out = []
+out, seconds = [], []
 for label, mode, tilt, y, v, t_c, background, seeds in CASES:
     cfg = SystemConfig(mode=ModeIndex(*mode), geometry=ModeGeometry(tilt_deg=tilt))
     det = DetectorConfig(background_cps=background)
     clean = expected_trace(cfg, Trajectory(y, v, t_c_s=t_c), det)
     fits = []
+    seconds.append(0.0)
     for seed in range(seeds):
+        trace = sample_counts(clean, det, seed)
+        start = time.perf_counter()
         try:
-            fit = fit_transit(cfg, det, sample_counts(clean, det, seed))
+            fit = fit_transit(cfg, det, trace)
             # a tree whose FitResult nests its parameters flattens them in to_dict
             fits.append(fit.to_dict() if hasattr(fit, "to_dict") else dataclasses.asdict(fit))
         except ValueError as exc:
             fits.append(f"{type(exc).__name__}: {exc}")
+        seconds[-1] += time.perf_counter() - start
     out.append(fits)
-print(json.dumps(out))
+print(json.dumps({"fits": out, "seconds": seconds}))
 """
 
 
-def run_tree(src: Path) -> list:
+def run_tree(src: Path) -> dict:
     code = f"CASES = {CASES!r}\n" + DRIVER
     proc = subprocess.run([sys.executable, "-c", code, str(src)], check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -88,12 +97,13 @@ def _delta(x, y) -> float:
     return abs(y - x) if math.isfinite(x) and math.isfinite(y) else math.inf
 
 
-def compare(results_a: list, results_b: list) -> int:
+def compare(run_a: dict, run_b: dict) -> int:
     n_fits = n_diff = 0
     worst: dict[str, float] = {}
     per_field: dict[str, int] = {}
     low = {"log_lik": math.inf, "mirror_log_lik": math.inf}
-    for (label, *_), fits_a, fits_b in zip(CASES, results_a, results_b):
+    cases = zip(CASES, run_a["fits"], run_b["fits"], run_a["seconds"], run_b["seconds"])
+    for (label, *_), fits_a, fits_b, s_a, s_b in cases:
         differ = 0
         for a, b in zip(fits_a, fits_b):
             n_fits += 1
@@ -109,7 +119,8 @@ def compare(results_a: list, results_b: list) -> int:
                 worst[key] = max(worst.get(key, 0.0), _delta(a[key], b[key]))
             for key in low:
                 low[key] = min(low[key], b[key] - a[key])
-        print(f"{label}: {differ} of {len(fits_a)} fits differ")
+        ms_a, ms_b = (1e3 * s / len(fits_a) for s in (s_a, s_b))
+        print(f"{label}: {differ} of {len(fits_a)} fits differ (ms per fit, informational: A {ms_a:.1f}, B {ms_b:.1f})")
         n_diff += differ
     for key, value in per_field.items():
         print(f"{key}: {value} fits differ")
@@ -118,6 +129,8 @@ def compare(results_a: list, results_b: list) -> int:
     for key, value in low.items():
         print(f"lowest delta (B - A) {key}: {value:.3g}")
     print(f"{n_fits - n_diff} of {n_fits} fits equal, {n_diff} differ")
+    total_a, total_b = sum(run_a["seconds"]), sum(run_b["seconds"])
+    print(f"fit wall time, informational: A {total_a:.2f} s, B {total_b:.2f} s, A / B {total_a / total_b:.2f}")
     return 1 if n_diff else 0
 
 

@@ -9,16 +9,18 @@ is the fit; the other is its mirror, and the log-likelihood gap between them
 says how decisively the mirror trajectory is excluded.
 
 The grid's t_c candidates are the bin centres, so on the uniform time axis
-the fitter requires, its rates are evaluated once per (y_off, v, bin offset)
-and every candidate is scored on a window of that table.
+the fitter requires, its transmission is evaluated once per (y_off, v, bin
+offset), cached per (configuration, bin width, bin count), and every
+candidate is scored on a window of that table.  The six Newton runs advance
+together, one rate call per iteration for every run still going.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+import numbers
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -45,6 +47,9 @@ DEGENERACY_TOL = 1e-6  # sup-norm transmission difference of a degenerate transf
 # speed, bin width); sigma moves by under 1e-6 relative from 1e-7 to 1e-4.
 _INFO_STEP = 1e-5
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+# The local model's 10 hypotheses are theta + _OFFSETS * h: theta, theta +- h_i
+# and theta + h_i + h_j for each pair (i, j).
+_OFFSETS = np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3), [np.eye(3)[i] + np.eye(3)[j] for i, j in _PAIRS]])
 
 
 class NoTransitError(ValueError):
@@ -93,13 +98,17 @@ class DegeneracyReport:
     degenerate: bool
 
 
+def _transmission(cfg: SystemConfig, t, y_um, v_mps, t_c_s):
+    """Transmission at times t along the trajectory (y_um, v_mps, t_c_s), z = 0;
+    broadcasts over parameter arrays."""
+    return transmission_at(cfg, LabPoint(v_mps * (t - t_c_s) * 1e6, y_um, 0.0))
+
+
 def _bin_rates(cfg: SystemConfig, t, y_um, v_mps, t_c_s, flux0_cps, background_cps, binw_s):
     """Per-bin Poisson means; broadcasts over parameter arrays.  The formula of
     `detector.expected_bin_counts`, with the bin width taken from the trace's
     time axis rather than from the detector configuration."""
-    x = v_mps * (t - t_c_s) * 1e6
-    T = transmission_at(cfg, LabPoint(x, y_um, 0.0))
-    return (flux0_cps * T + background_cps) * binw_s
+    return (flux0_cps * _transmission(cfg, t, y_um, v_mps, t_c_s) + background_cps) * binw_s
 
 
 def _poisson_loglik(k, lam):
@@ -164,29 +173,41 @@ def estimate_flux0(trace: TransitTrace, background_cps: float = 0.0) -> float:
     return max(baseline_rate - background_cps, 0.0)
 
 
-def _coarse_grid(cfg, t, k, flux0_cps, background_cps, binw_s):
-    """(y_grid, v_grid, tc_grid, grid log-likelihood of shape (y, v, t_c)).
-
-    Candidate c, t_c = t[c], puts bin j at t_j - t_c = (j - c) binw_s, so the
-    rates are evaluated once per (y, v, bin offset -(n-1)..n-1) and, with
-    W(x)[m, c] = x[m + c - (n-1)] (zero outside x), candidate c scores
-    sum_m ln lam[m] W(k)[m, c] - lam[m] W(1)[m, c].
-    """
+@lru_cache(maxsize=4)
+def _grid_table(cfg: SystemConfig, binw_s: float, n: int):
+    """(y_grid, v_grid, T): the grid's axes and its transmission at every
+    (y, v, bin offset -(n-1)..n-1), read-only.  T depends on the trace only
+    through its bin width and bin count, so one table serves every trace
+    of that shape."""
     # whole multiples of the step: y = 0 is exact, so a refinement started
     # there sits on the side bound, where it can hold y
     n_y = round(Y_HALFWIDTH_WAISTS / Y_STEP_WAISTS)
     y_grid = np.arange(-n_y, n_y + 1) * (Y_STEP_WAISTS * cfg.geometry.w0_um)
     v_lo, v_hi, v_step = V_GRID_MPS
     v_grid = np.arange(v_lo, v_hi + 1e-9, v_step)
-
-    n = len(t)
     offsets = np.arange(1 - n, n) * binw_s
-    lam = _bin_rates(
-        cfg, offsets, y_grid[:, None, None], v_grid[None, :, None], 0.0, flux0_cps, background_cps, binw_s
-    )
+    T = _transmission(cfg, offsets, y_grid[:, None, None], v_grid[None, :, None], 0.0)
+    for a in (y_grid, v_grid, T):
+        a.flags.writeable = False
+    return y_grid, v_grid, T
+
+
+def _coarse_grid(cfg, t, k, flux0_cps, background_cps, binw_s):
+    """(y_grid, v_grid, tc_grid, grid log-likelihood of shape (y, v, t_c)).
+
+    Candidate c, t_c = t[c], puts bin j at t_j - t_c = (j - c) binw_s, so the
+    rates are those of `_grid_table`'s offsets and, with W(x)[m, c] =
+    x[m + c - (n-1)] (zero outside x), candidate c scores
+    sum_m ln lam[m] W(k)[m, c] - lam[m] W(1)[m, c].
+    """
+    n = len(t)
+    y_grid, v_grid, T = _grid_table(cfg, binw_s, n)
+    lam = (flux0_cps * T + background_cps) * binw_s  # `_bin_rates`' arithmetic
 
     def window(x):
-        return np.lib.stride_tricks.sliding_window_view(np.pad(x, n - 1), n)
+        # contiguous: numpy copies a strided operand before its BLAS product
+        # anyway, and more slowly
+        return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(np.pad(x, n - 1), n))
 
     return y_grid, v_grid, t, np.log(lam) @ window(k) - lam @ window(np.ones(n))
 
@@ -202,22 +223,29 @@ def fit_transit(
 
     The empty-cavity rate is measured from the off-dip bins unless passed
     explicitly; it is not a free fit parameter, and a rate that is not
-    positive and finite raises ValueError.  A trace with no dip (see
-    `_require_dip`) raises NoTransitError.  The coarse grid scans y_off
-    over +-Y_HALFWIDTH_WAISTS waists, v over V_GRID_MPS (0.25-0.65 m/s)
-    and t_c over every bin centre; a transit much faster than the grid's
-    top speed is not recovered, and may be reported converged on a wrong
-    y_off.  The grid's rates are evaluated once per (y_off, v, bin
-    offset), so the trace's time axis must be finite, strictly increasing
-    and uniform, each step within 1e-6 of the median step, or ValueError
-    names the first bad bin.  Then, for each sign of y_off, Newton runs
-    (`minimize`) start at the best grid point of that sign and at its two
-    neighbouring crossing times, and are held to that sign (y_off = 0 is
-    allowed on both sides); the best run is the side's.  Returns the
-    parameters of the better side, their uncertainties from the inverse
-    expected Poisson information of its best run's last local model (flux0
-    held fixed) and, as mirror_log_lik, the log-likelihood of the other side.
+    positive and finite raises ValueError.  So does a detuning that is not a
+    scalar: the grid's transmission table is cached per configuration.  A
+    trace with no dip (see `_require_dip`) raises NoTransitError.  The
+    coarse grid scans y_off over +-Y_HALFWIDTH_WAISTS waists, v over
+    V_GRID_MPS (0.25-0.65 m/s) and t_c over every bin centre; a transit
+    much faster than the grid's top speed is not recovered, and may be
+    reported converged on a wrong y_off.  The grid's rates are evaluated
+    once per (y_off, v, bin offset), so the trace's time axis must be
+    finite, strictly increasing and uniform, each step within 1e-6 of the
+    median step, or ValueError names the first bad bin.  Then, for each
+    sign of y_off, Newton runs start at the best grid point of that sign and
+    at its two neighbouring crossing times, and are held to that sign
+    (y_off = 0 is allowed on both sides); one `minimize` call advances the
+    runs of both sides together, and the best run of a side is the side's.
+    Returns the parameters of the better side, their uncertainties from the
+    inverse expected Poisson information of its best run's last local model
+    (flux0 held fixed) and, as mirror_log_lik, the log-likelihood of the
+    other side.
     """
+    for name in ("delta_pa", "delta_ca"):
+        value = getattr(cfg.detunings, name)
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"detunings.{name} must be a scalar to fit a trace, got shape {np.shape(value)}")
     if trace.counts is None:
         raise ValueError("trace has no counts to fit")
     if len(trace) < 10:
@@ -236,102 +264,151 @@ def fit_transit(
     y_grid, v_grid, tc_grid, grid_ll = _coarse_grid(cfg, t, k, flux0_cps, det.background_cps, binw_s)
     n_evals = grid_ll.size
 
-    sides = []
+    starts, sides = [], []
     for sign in (1.0, -1.0):
         side_ll = np.where((sign * y_grid >= 0)[:, None, None], grid_ll, -np.inf)
         i, j, l = np.unravel_index(int(np.argmax(side_ll)), grid_ll.shape)
-        starts = [np.array([y_grid[i], v_grid[j], tc_grid[m]]) for m in (l - 1, l, l + 1) if 0 <= m < len(t)]
-        runs = [minimize(cfg, t, k, x0, sign, flux0_cps, det.background_cps, binw_s) for x0 in starts]
-        n_evals += sum(run.nfev for run in runs)
-        sides.append(max(runs, key=lambda run: run.ll))
-    best, mirror = sorted(sides, key=lambda run: -run.ll)
+        for m in (l - 1, l, l + 1):
+            if 0 <= m < len(t):
+                starts.append((y_grid[i], v_grid[j], tc_grid[m]))
+                sides.append(sign)
+    sides = np.array(sides)
+    runs = minimize(cfg, t, k, np.array(starts), sides, flux0_cps, det.background_cps, binw_s)
+    n_evals += runs.nfev
+    side_best = [max(np.flatnonzero(sides == sign), key=lambda r: runs.ll[r]) for sign in (1.0, -1.0)]
+    best, mirror = sorted(side_best, key=lambda r: -runs.ll[r])
 
     # sigma = sqrt(diag(I^-1)) of the winning run's last expected information,
     # NaN for a non-positive diagonal entry or a singular I
     try:
-        diag = np.diag(np.linalg.inv(best.expected))
-        sigma = np.where(diag > 0, np.abs(best.h) * np.sqrt(np.abs(diag)), np.nan)
+        diag = np.diag(np.linalg.inv(runs.expected[best]))
+        sigma = np.where(diag > 0, np.abs(runs.h[best]) * np.sqrt(np.abs(diag)), np.nan)
     except np.linalg.LinAlgError:
         sigma = np.full(3, np.nan)
     ln_fact = _ln_factorial_sum(k)
     return FitResult(
-        *(float(v) for v in best.x),
+        *(float(v) for v in runs.x[best]),
         sigma_y_um=float(sigma[0]),
         sigma_v_mps=float(sigma[1]),
         sigma_tc_s=float(sigma[2]),
-        log_lik=float(best.ll - ln_fact),
-        mirror_log_lik=float(mirror.ll - ln_fact),
-        converged=best.converged,
+        log_lik=float(runs.ll[best] - ln_fact),
+        mirror_log_lik=float(runs.ll[mirror] - ln_fact),
+        converged=bool(runs.converged[best]),
         n_evals=int(n_evals),
     )
 
 
-def _local_model(cfg, t, k, side, flux0_cps, background_cps, binw_s, theta):
-    """(ll, score, observed, expected, h): sum(k ln lam - lam) at theta =
-    (y, v, t_c), its gradient and the observed and expected information,
-    all per step h = _INFO_STEP * (side * w0, v, bin width), and h.  One
-    rate call covers the 10 hypotheses theta, theta +- h_i and theta + h_i
-    + h_j (i < j), which give the rates' central first and second
-    differences.  h_y points into the side, so mirror-image runs do the
-    same arithmetic."""
-    h = _INFO_STEP * np.array([side * cfg.geometry.w0_um, theta[1], binw_s])
-    e = np.diag(h)
-    hyp = np.concatenate([theta[None], theta + e, theta - e, [theta + e[i] + e[j] for i, j in _PAIRS]])
-    lam = _bin_rates(cfg, t, *hyp.T[..., None], flux0_cps, background_cps, binw_s)
-    lam0, plus, minus = lam[0], lam[1:4], lam[4:7]
-    d2 = np.empty((3, 3, len(t)))
-    d2[[0, 1, 2], [0, 1, 2]] = plus - 2.0 * lam0 + minus
-    for (i, j), lam_ij in zip(_PAIRS, lam[7:]):
-        d2[i, j] = d2[j, i] = lam_ij - plus[i] - plus[j] + lam0
+def _local_model(cfg, t, k, flux0_cps, background_cps, binw_s, theta, sides):
+    """(ll, score, observed, expected, h) of each row of theta = (y, v, t_c),
+    held to the side in sides: sum(k ln lam - lam), its gradient and the
+    observed and expected information, all per step h = _INFO_STEP * (side *
+    w0, v, bin width), and h.  One rate call covers, per row, the 10
+    hypotheses theta, theta +- h_i and theta + h_i + h_j (i < j), which give
+    the rates' central first and second differences.  h_y points into the
+    side, so mirror-image runs do the same arithmetic.  Each row's numbers do
+    not depend on the other rows."""
+    h = _INFO_STEP * np.stack([sides * cfg.geometry.w0_um, theta[:, 1], np.full(len(theta), binw_s)], axis=1)
+    hyp = theta[:, None] + _OFFSETS * h[:, None]
+    lam = _bin_rates(cfg, t, *hyp.transpose(2, 0, 1)[..., None], flux0_cps, background_cps, binw_s)
+    lam0, plus, minus = lam[:, 0], lam[:, 1:4], lam[:, 4:7]
+    d2 = np.empty((len(theta), 3, 3, len(t)))
+    d2[:, [0, 1, 2], [0, 1, 2]] = plus - 2.0 * lam0[:, None] + minus
+    for p, (i, j) in enumerate(_PAIRS):
+        d2[:, i, j] = d2[:, j, i] = lam[:, 7 + p] - plus[:, i] - plus[:, j] + lam0
     jac = (plus - minus) / 2.0
+    jac_t = np.swapaxes(jac, -1, -2)
     resid = k / lam0 - 1.0
-    observed = (jac * (k / lam0**2)) @ jac.T - d2 @ resid
-    return _poisson_loglik(k, lam0), jac @ resid, observed, (jac / lam0) @ jac.T, h
+    observed = (jac * (k / lam0**2)[:, None]) @ jac_t - (d2 @ resid[:, None, :, None])[..., 0]
+    score = (jac @ resid[..., None])[..., 0]
+    return _poisson_loglik(k, lam0), score, observed, (jac / lam0[:, None]) @ jac_t, h
 
 
-# End of one Newton run: (y, v, t_c), its log-likelihood without ln k!, the
-# expected information of its last local model and that model's step h,
-# whether it converged and the number of rate hypotheses evaluated.
-Refinement = namedtuple("Refinement", "x ll expected h converged nfev")
+@dataclass(frozen=True)
+class Refinement:
+    """Ends of the Newton runs of one `minimize` call, one row per run: the
+    (y, v, t_c), its log-likelihood without ln k!, the expected information
+    of the run's last local model and that model's step h, whether the run
+    converged and the number of rate hypotheses it evaluated."""
+
+    x: np.ndarray
+    ll: np.ndarray
+    expected: np.ndarray
+    h: np.ndarray
+    converged: np.ndarray
+    run_nfev: np.ndarray
+
+    @property
+    def nfev(self) -> int:
+        """Rate hypotheses evaluated by all runs, 10 per local model."""
+        return int(self.run_nfev.sum())
 
 
-def minimize(cfg, t, k, theta, side, flux0_cps, background_cps, binw_s) -> Refinement:
-    """Newton ascent of sum(k ln lam - lam) from theta = (y, v, t_c), with
-    sign(y) held to side (named for the benchmark's tracer, which wraps it).
+def minimize(cfg, t, k, thetas, sides, flux0_cps, background_cps, binw_s) -> Refinement:
+    """Newton ascents of sum(k ln lam - lam), one from each row of thetas =
+    (y, v, t_c), with sign(y) held to that run's entry of sides (named for
+    the benchmark's tracer, which wraps it).
 
     A step solves I step = score by least squares, with I the observed
     information of `_local_model`, or the expected one, J diag(1/lam) J^T,
     where the observed one is not positive definite.  At y = 0, while the
     score points across the bound, y is held; a trial's y is clipped to the
     side.  A step is halved until the log-likelihood does not fall at a
-    positive speed.  Converged once a step is predicted to gain under
-    REFINE_TOL; unconverged after MAX_REFINE_STEPS steps.
+    positive speed.  A run has converged once a step is predicted to gain
+    under REFINE_TOL, and stops unconverged after MAX_REFINE_STEPS steps.
+    The runs advance in lockstep: each iteration evaluates the trials of
+    every run still going in one rate call, and each run's path is the one
+    it takes alone.
     """
-    model = partial(_local_model, cfg, t, k, side, flux0_cps, background_cps, binw_s)
-    ll, score, observed, expected, h = model(theta)
-    nfev = 10
-    converged = False
-    for _ in range(MAX_REFINE_STEPS):
-        free = np.array([theta[0] != 0 or score[0] > 0, True, True])
-        block = np.ix_(free, free)
-        info = observed if np.all(np.linalg.eigvalsh(observed[block]) > 0) else expected
-        step = np.zeros(3)
-        step[free] = np.linalg.lstsq(info[block], score[free], rcond=None)[0]
-        gain = 0.5 * score @ step
-        while gain >= REFINE_TOL:
-            trial = theta + step * h
-            trial[0] = side * max(side * trial[0], 0.0)
-            at_trial = model(trial)
-            nfev += 10
-            if trial[1] > 0 and at_trial[0] >= ll:
-                break
-            step, gain = step / 2.0, gain / 2.0
-        if not gain >= REFINE_TOL:
-            converged = True
-            break
-        theta = trial
-        ll, score, observed, expected, h = at_trial
-    return Refinement(theta, float(ll), expected, h, converged, nfev)
+    theta = np.array(thetas, dtype=float)
+    sides = np.asarray(sides, dtype=float)
+    model = partial(_local_model, cfg, t, k, flux0_cps, background_cps, binw_s)
+    ll, score, observed, expected, h = model(theta, sides)
+    run_nfev = np.full(len(theta), 10)
+    converged = np.zeros(len(theta), dtype=bool)
+    n_steps = np.zeros(len(theta), dtype=int)
+    step = np.zeros_like(theta)
+    gain = np.zeros(len(theta))
+
+    def plan(rows):
+        """Set the Newton step of each run in rows from its local model and
+        return the runs whose step is predicted to gain at least REFINE_TOL."""
+        # the step's block starts at v (f = 1) while a run sits at y = 0 and
+        # the score points across the bound
+        first = {r: int(theta[r, 0] == 0 and not score[r, 0] > 0) for r in rows}
+        positive = {}
+        for f in set(first.values()):
+            group = [r for r in rows if first[r] == f]
+            eig = np.linalg.eigvalsh(observed[group, f:, f:])
+            positive.update(zip(group, np.all(eig > 0, axis=-1)))
+        for r in rows:
+            f = first[r]
+            info = observed[r] if positive[r] else expected[r]
+            step[r] = 0.0
+            step[r, f:] = np.linalg.lstsq(info[f:, f:], score[r, f:], rcond=None)[0]
+            gain[r] = 0.5 * score[r] @ step[r]
+            converged[r] = not gain[r] >= REFINE_TOL
+        return rows[~converged[rows]]
+
+    live = plan(np.arange(len(theta))) if MAX_REFINE_STEPS > 0 else np.arange(0)
+    while live.size:
+        side = sides[live]
+        trial = theta[live] + step[live] * h[live]
+        # y clipped to the side; unlike np.maximum, where keeps a -0.0
+        bound = side * trial[:, 0]
+        trial[:, 0] = side * np.where(0.0 > bound, 0.0, bound)
+        at_trial = model(trial, side)
+        run_nfev[live] += 10
+        ok = (trial[:, 1] > 0) & (at_trial[0] >= ll[live])
+        moved, halved = live[ok], live[~ok]
+        theta[moved] = trial[ok]
+        for state, new in zip((ll, score, observed, expected, h), at_trial):
+            state[moved] = new[ok]
+        n_steps[moved] += 1
+        step[halved] /= 2.0
+        gain[halved] /= 2.0
+        converged[halved] = ~(gain[halved] >= REFINE_TOL)
+        live = np.concatenate([plan(moved[n_steps[moved] < MAX_REFINE_STEPS]), halved[~converged[halved]]])
+    return Refinement(theta, ll, expected, h, converged, run_nfev)
 
 
 _TRANSFORMS = {

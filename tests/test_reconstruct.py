@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from cavity_transit import (
     DetectorConfig,
+    Detunings,
     FitParams,
     FitResult,
     LabPoint,
@@ -28,15 +29,24 @@ from cavity_transit import (
     expected_trace,
     fit_transit,
     log_likelihood,
+    reconstruct,
     sample_counts,
     transmission_at,
     x_resolution,
 )
 from cavity_transit.detector import expected_bin_counts
-from cavity_transit.reconstruct import SIGN_RESOLVE_MARGIN, _bin_rates, _coarse_grid, _poisson_loglik
+from cavity_transit.reconstruct import (
+    SIGN_RESOLVE_MARGIN,
+    _bin_rates,
+    _coarse_grid,
+    _grid_table,
+    _poisson_loglik,
+    minimize,
+)
 
 CFG = SystemConfig()
 CFG_UNTILTED = SystemConfig(geometry=ModeGeometry(tilt_deg=0.0))
+CFG_TEM21 = SystemConfig(mode=ModeIndex(2, 1), geometry=ModeGeometry(tilt_deg=30.0))
 DET = DetectorConfig()
 
 
@@ -251,6 +261,112 @@ def test_coarse_grid_matches_direct_broadcast(cfg, det, truth):
     assert grid_ll.shape == direct.shape == (49, 17, len(trace))
     assert np.argmax(grid_ll) == np.argmax(direct)
     np.testing.assert_allclose(grid_ll, direct, rtol=1e-9, atol=0)
+
+
+@pytest.fixture
+def empty_grid_cache():
+    _grid_table.cache_clear()
+    yield
+    _grid_table.cache_clear()
+
+
+def test_grid_table_cache_is_keyed_on_config_bin_width_and_bin_count(empty_grid_cache):
+    # back to back, each (config, bin width, bin count) must get its own
+    # table: every grid equals, bit for bit, the one scored from a direct
+    # rate broadcast; the fifth key evicts the least recently used table
+    det_fine = DetectorConfig(bin_width_us=8.0, window_us=(-200.0, 200.0))
+    calls = [
+        (CFG, DET),
+        (CFG_UNTILTED, DET),
+        (CFG_TEM21, DET),
+        (CFG, det_fine),
+        (CFG, DET),
+        (CFG, DetectorConfig(bin_width_us=8.0, window_us=(-160.0, 160.0))),
+        (CFG_UNTILTED, DET),
+    ]
+    tables = []
+    for cfg, det in calls:
+        trace = sample_counts(expected_trace(cfg, Trajectory(-16.3, 0.39), det), det, 0)
+        k = trace.counts.astype(float)
+        n = len(trace)
+        binw_s = float(np.median(np.diff(trace.t)))
+        y_grid, v_grid, tc_grid, grid_ll = _coarse_grid(cfg, trace.t, k, det.flux0_cps, 0.0, binw_s)
+        lam = _bin_rates(
+            cfg, np.arange(1 - n, n) * binw_s, y_grid[:, None, None], v_grid[None, :, None], 0.0, det.flux0_cps, 0.0, binw_s
+        )
+        window = np.lib.stride_tricks.sliding_window_view
+        direct = np.log(lam) @ window(np.pad(k, n - 1), n) - lam @ window(np.pad(np.ones(n), n - 1), n)
+        assert np.array_equal(grid_ll, direct)
+        tables.append(_grid_table(cfg, binw_s, n)[2])
+    assert tables[4] is tables[0]
+    assert tables[6] is not tables[1] and np.array_equal(tables[6], tables[1])
+    assert len({id(T) for T in tables}) == 6
+    assert _grid_table.cache_info().currsize == 4
+    for T in tables:
+        assert not T.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            T[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("field", ["delta_pa", "delta_ca"])
+@pytest.mark.parametrize("shape", [(2,), (1,)])
+def test_fit_rejects_array_detunings(field, shape):
+    # the grid's table is cached per configuration, so an array detuning is
+    # refused before any grid work, shape (1,) included
+    trace = sample_counts(expected_trace(CFG, Trajectory(-16.3, 0.39), DET), DET, 0)
+    cfg = dataclasses.replace(CFG, detunings=Detunings(**{field: np.zeros(shape)}))
+    with pytest.raises(ValueError, match=rf"detunings\.{field} must be a scalar .* shape \({shape[0]},\)"):
+        fit_transit(cfg, DET, trace)
+
+
+@pytest.mark.parametrize(
+    "cfg, det, truth",
+    [
+        (CFG, DET, Trajectory(-16.3, 0.39)),
+        (CFG, DetectorConfig(background_cps=500.0), Trajectory(3.0, 0.45, t_c_s=0.0123456)),
+        (CFG_TEM21, DET, Trajectory(-17.0, 0.45)),
+    ],
+    ids=["reference", "background-500", "tem21"],
+)
+def test_lockstep_runs_do_not_depend_on_their_batch(monkeypatch, cfg, det, truth):
+    trace = sample_counts(expected_trace(cfg, truth, det), det, 0)
+    passed = []  # the arguments fit_transit gives minimize
+    monkeypatch.setattr(reconstruct, "minimize", lambda *args: passed.append(args) or minimize(*args))
+    fit_transit(cfg, det, trace)
+    _, t, k, starts, sides, *rest = passed[0]
+    assert len(starts) == 6
+    # the last start is where the first run ends, so it converges at step 0
+    starts[5], sides[5] = minimize(cfg, t, k, starts[:1], sides[:1], *rest).x[0], sides[0]
+    batch = minimize(cfg, t, k, starts, sides, *rest)
+
+    real = reconstruct._local_model
+    evaluated = []  # (speed, log-likelihood) of each local model of a single run
+
+    def spy(*args):
+        out = real(*args)
+        evaluated.append((args[-2][0, 1], out[0][0]))
+        return out
+
+    monkeypatch.setattr(reconstruct, "_local_model", spy)
+    halved = []
+    singles = []
+    for p in range(len(starts)):
+        evaluated.clear()
+        single = minimize(cfg, t, k, starts[p : p + 1], sides[p : p + 1], *rest)
+        for field in ("x", "ll", "expected", "h", "converged", "run_nfev"):
+            assert np.array_equal(getattr(single, field)[0], getattr(batch, field)[p]), (p, field)
+        singles.append(single)
+        ll = evaluated[0][1]
+        rejected = 0
+        for v, trial_ll in evaluated[1:]:
+            if v > 0 and trial_ll >= ll:
+                ll = trial_ll
+            else:
+                rejected += 1
+        halved.append(rejected > 0)
+    assert batch.nfev == sum(single.nfev for single in singles)
+    assert any(halved)
+    assert batch.run_nfev[5] == 10 and batch.converged[5]
 
 
 @pytest.mark.parametrize("flux0_cps", [0.0, -5e6, np.inf])
