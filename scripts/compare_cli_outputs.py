@@ -22,7 +22,9 @@ path replaced by `<src>` so that the same warning from two trees reads the
 same.  Both files are compared like any other output, and their differing
 lines are printed.  For a differing CSV with the same row count, the number
 of differing rows and the largest relative difference of its numeric
-fields are printed too.
+fields are printed too; for a differing JSON file with the same keys
+(nested keys joined by dots), the differing keys and the largest relative
+difference of their values (inf where a value is not a number).
 
 Usage: python scripts/compare_cli_outputs.py SRC_A SRC_B
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import math
 import subprocess
 import sys
@@ -161,6 +164,11 @@ def _fields(line: str):
     return out
 
 
+def _relative(x: float, y: float) -> float:
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale else math.inf
+
+
 def csv_difference(a: Path, b: Path):
     """(differing rows, largest relative difference) or None when the files
     do not line up row for row and field for field."""
@@ -180,9 +188,46 @@ def csv_difference(a: Path, b: Path):
                 continue
             if not (isinstance(x, float) and isinstance(y, float)):
                 return None
-            scale = max(abs(x), abs(y))
-            worst = max(worst, abs(x - y) / scale if scale else math.inf)
+            worst = max(worst, _relative(x, y))
     return rows, worst
+
+
+def _leaves(value, prefix: str = "") -> dict:
+    """{dotted key: value} of every leaf of a parsed JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {prefix: value}
+    out = {}
+    for key, item in items:
+        out.update(_leaves(item, f"{prefix}.{key}" if prefix else str(key)))
+    return out
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def json_difference(a: Path, b: Path):
+    """(differing keys, largest relative difference of their values) or None
+    when the files are not both JSON with the same keys.  NaN equals NaN; a
+    differing value that is not a number on both sides counts as inf."""
+    try:
+        va, vb = _leaves(json.loads(a.read_text())), _leaves(json.loads(b.read_text()))
+    except json.JSONDecodeError:
+        return None
+    if va.keys() != vb.keys():
+        return None
+    keys, worst = [], 0.0
+    for key, x in va.items():
+        y = vb[key]
+        if x == y or (_number(x) and _number(y) and math.isnan(x) and math.isnan(y)):
+            continue
+        keys.append(key)
+        worst = max(worst, _relative(x, y) if _number(x) and _number(y) else math.inf)
+    return keys, worst
 
 
 def compare(dir_a: Path, dir_b: Path) -> int:
@@ -197,11 +242,12 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         if a.read_bytes() == b.read_bytes():
             continue
         n_diff += 1
-        detail = csv_difference(a, b) if rel.suffix == ".csv" else None
-        if detail is None:
-            print(f"differs: {rel}")
-        else:
-            print(f"differs: {rel} ({detail[0]} rows, max relative difference {detail[1]:.3g})")
+        detail = None
+        if rel.suffix == ".csv" and (diff := csv_difference(a, b)):
+            detail = f"{diff[0]} rows, max relative difference {diff[1]:.3g}"
+        elif rel.suffix == ".json" and (diff := json_difference(a, b)):
+            detail = f"keys {', '.join(diff[0])}; max relative difference {diff[1]:.3g}"
+        print(f"differs: {rel}" + (f" ({detail})" if detail else ""))
         if rel.suffix == ".txt":
             for line in difflib.unified_diff(
                 a.read_text().splitlines(), b.read_text().splitlines(), "A", "B", n=0, lineterm=""

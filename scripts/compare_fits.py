@@ -15,11 +15,19 @@ recorded as its error message.
 
 Printed: the number of fits that differ per case, the number that differ in
 each field, the largest |difference| of each field, and the lowest
-difference B - A of `log_lik` and `mirror_log_lik`.  NaN equals NaN.  Each
-case also shows each tree's mean wall time per fit, and the last line the
-ratio of the totals.  These times are informational: the trees run one
-after the other on a possibly busy host, and the first case pays each
-process's one-time costs.  Speed claims rest on `benchmarks/run.py`.
+difference B - A of `log_lik` and `mirror_log_lik`.  NaN equals NaN.  For
+a change that may move fits in their last digits, it also prints the
+largest |difference| of y_off_um, v_mps and t_c_s in units of A's sigma of
+that parameter, the largest relative change of each sigma, and the number
+of fits whose `converged`, sign verdict (log_lik - mirror_log_lik above
+SIGN_MARGIN) or `n_evals` changed.  A fit with sigma_y_um above
+Y_UNIDENTIFIED_UM in A or B has no identified y (an untilted mode at
+y = 0, say); such fits are listed one by one and left out of the sigma
+maxima.  Each case also shows each tree's mean wall time per fit, and the
+last line the ratio of the totals.  These times are informational: the
+trees run one after the other on a possibly busy host, and the first case
+pays each process's one-time costs.  Speed claims rest on
+`benchmarks/run.py`.
 
 Usage: python scripts/compare_fits.py SRC_A SRC_B
 
@@ -38,6 +46,9 @@ import sys
 from pathlib import Path
 
 TEM10 = (1, 0)
+SIGN_MARGIN = 10.0  # reconstruct.SIGN_RESOLVE_MARGIN
+Y_UNIDENTIFIED_UM = 1e3
+PARAM_SIGMA = {"y_off_um": "sigma_y_um", "v_mps": "sigma_v_mps", "t_c_s": "sigma_tc_s"}
 
 # (label, mode (m, n), tilt_deg, y_um, v_mps, t_c_s, background_cps, seeds)
 CASES = [
@@ -97,15 +108,26 @@ def _delta(x, y) -> float:
     return abs(y - x) if math.isfinite(x) and math.isfinite(y) else math.inf
 
 
+def _ratio(delta: float, scale: float) -> float:
+    """delta / scale; 0 for no delta, inf for a scale that is not positive and finite."""
+    if delta == 0.0:
+        return 0.0
+    return delta / scale if 0.0 < scale < math.inf else math.inf
+
+
 def compare(run_a: dict, run_b: dict) -> int:
     n_fits = n_diff = 0
     worst: dict[str, float] = {}
     per_field: dict[str, int] = {}
     low = {"log_lik": math.inf, "mirror_log_lik": math.inf}
+    in_sigma = dict.fromkeys(PARAM_SIGMA, 0.0)
+    sigma_rel = dict.fromkeys(PARAM_SIGMA.values(), 0.0)
+    changed = {"converged": 0, "sign verdict": 0, "n_evals": 0}
+    unidentified = []
     cases = zip(CASES, run_a["fits"], run_b["fits"], run_a["seconds"], run_b["seconds"])
     for (label, *_), fits_a, fits_b, s_a, s_b in cases:
         differ = 0
-        for a, b in zip(fits_a, fits_b):
+        for seed, (a, b) in enumerate(zip(fits_a, fits_b)):
             n_fits += 1
             if isinstance(a, str) or isinstance(b, str):
                 if a != b:
@@ -119,6 +141,18 @@ def compare(run_a: dict, run_b: dict) -> int:
                 worst[key] = max(worst.get(key, 0.0), _delta(a[key], b[key]))
             for key in low:
                 low[key] = min(low[key], b[key] - a[key])
+            for key, sigma in PARAM_SIGMA.items():
+                in_sigma[key] = max(in_sigma[key], _ratio(_delta(a[key], b[key]), a[sigma]))
+            verdict_a, verdict_b = (f["log_lik"] - f["mirror_log_lik"] > SIGN_MARGIN for f in (a, b))
+            changed["converged"] += a["converged"] != b["converged"]
+            changed["sign verdict"] += verdict_a != verdict_b
+            changed["n_evals"] += a["n_evals"] != b["n_evals"]
+            rel = {key: _ratio(_delta(a[key], b[key]), abs(a[key])) for key in sigma_rel}
+            if max(a["sigma_y_um"], b["sigma_y_um"]) > Y_UNIDENTIFIED_UM:
+                unidentified.append((label, seed, a, b, rel))
+                continue
+            for key, value in rel.items():
+                sigma_rel[key] = max(sigma_rel[key], value)
         ms_a, ms_b = (1e3 * s / len(fits_a) for s in (s_a, s_b))
         print(f"{label}: {differ} of {len(fits_a)} fits differ (ms per fit, informational: A {ms_a:.1f}, B {ms_b:.1f})")
         n_diff += differ
@@ -128,6 +162,18 @@ def compare(run_a: dict, run_b: dict) -> int:
         print(f"max |delta| {key}: {value:.3g}")
     for key, value in low.items():
         print(f"lowest delta (B - A) {key}: {value:.3g}")
+    for key, value in in_sigma.items():
+        print(f"max |delta| {key} in units of A's {PARAM_SIGMA[key]}: {value:.3g}")
+    for key, value in sigma_rel.items():
+        print(f"max relative change {key}: {value:.3g} (y identified)")
+    print("fits that changed: " + ", ".join(f"{key} {value}" for key, value in changed.items()))
+    print(f"y not identified (sigma_y_um > {Y_UNIDENTIFIED_UM:g} um in A or B): {len(unidentified)} fits")
+    for label, seed, a, b, rel in unidentified:
+        print(
+            f"  {label} seed {seed}: y_off_um A {a['y_off_um']:.3g}, sigma_y_um A {a['sigma_y_um']:.3g}, "
+            f"B {b['sigma_y_um']:.3g}; relative change "
+            + ", ".join(f"{key} {value:.3g}" for key, value in rel.items())
+        )
     print(f"{n_fits - n_diff} of {n_fits} fits equal, {n_diff} differ")
     total_a, total_b = sum(run_a["seconds"]), sum(run_b["seconds"])
     print(f"fit wall time, informational: A {total_a:.2f} s, B {total_b:.2f} s, A / B {total_a / total_b:.2f}")

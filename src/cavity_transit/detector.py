@@ -71,16 +71,22 @@ def _time_axis_fault(t) -> tuple[int, str] | None:
     follow its predecessor, or steps from it by more than 1e-6 of the median
     step; None for a finite, strictly increasing, uniform axis."""
     t = np.asarray(t, dtype=float)
-    median = float(np.median(np.diff(t))) if len(t) > 1 else 0.0
-    t = t.tolist()
-    for i, ti in enumerate(t):
-        if not math.isfinite(ti):
-            return i, f"time {ti!r} is not finite"
-        if i and ti <= t[i - 1]:
-            return i, f"time {ti!r} does not follow {t[i - 1]!r}"
-        if i and abs(ti - t[i - 1] - median) > 1e-6 * median:
-            return i, f"time step {ti - t[i - 1]!r} differs from the median step {median!r}"
-    return None
+    # an axis holding inf has inf - inf steps: no warning, its bin is named
+    with np.errstate(all="ignore"):
+        median = float(np.median(np.diff(t))) if len(t) > 1 else 0.0
+        bad = ~np.isfinite(t)
+        bad[1:] |= (t[1:] <= t[:-1]) | (np.abs(t[1:] - t[:-1] - median) > 1e-6 * median)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    ti = float(t[i])
+    if not math.isfinite(ti):
+        return i, f"time {ti!r} is not finite"
+    # t[i - 1] is finite: it passed
+    prev = float(t[i - 1])
+    if ti <= prev:
+        return i, f"time {ti!r} does not follow {prev!r}"
+    return i, f"time step {ti - prev!r} differs from the median step {median!r}"
 
 
 def bin_centers(det: DetectorConfig, t_c_s: float) -> np.ndarray:

@@ -52,6 +52,22 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 _OFFSETS = np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3), [np.eye(3)[i] + np.eye(3)[j] for i, j in _PAIRS]])
 
 
+def _difference_coefficients():
+    """(J, D2): the coefficients over the 10 hypothesis rates of their central
+    first differences (3, 10) and second differences (3, 3, 10)."""
+    rate = np.eye(len(_OFFSETS))
+    lam0, plus, minus = rate[0], rate[1:4], rate[4:7]
+    d2 = np.empty((3, 3, len(_OFFSETS)))
+    d2[[0, 1, 2], [0, 1, 2]] = plus - 2.0 * lam0 + minus
+    for p, (i, j) in enumerate(_PAIRS):
+        d2[i, j] = d2[j, i] = rate[7 + p] - plus[i] - plus[j] + lam0
+    return (plus - minus) / 2.0, d2
+
+
+_JAC, _D2 = _difference_coefficients()
+_Y_HELD = np.array([0.0, 1.0, 1.0])  # the coordinates a run holding y moves
+
+
 class NoTransitError(ValueError):
     """The trace contains no detectable transit dip."""
 
@@ -265,9 +281,12 @@ def fit_transit(
     n_evals = grid_ll.size
 
     starts, sides = [], []
-    for sign in (1.0, -1.0):
-        side_ll = np.where((sign * y_grid >= 0)[:, None, None], grid_ll, -np.inf)
-        i, j, l = np.unravel_index(int(np.argmax(side_ll)), grid_ll.shape)
+    # y_grid is sorted and holds 0 exactly, at row `zero`: the rows from it
+    # on are the y >= 0 side, the rows up to it the y <= 0 side
+    zero = int(np.searchsorted(y_grid, 0.0))
+    for sign, first, side_ll in ((1.0, zero, grid_ll[zero:]), (-1.0, 0, grid_ll[: zero + 1])):
+        i, j, l = np.unravel_index(int(np.argmax(side_ll)), side_ll.shape)
+        i += first
         for m in (l - 1, l, l + 1):
             if 0 <= m < len(t):
                 starts.append((y_grid[i], v_grid[j], tc_grid[m]))
@@ -307,20 +326,51 @@ def _local_model(cfg, t, k, flux0_cps, background_cps, binw_s, theta, sides):
     the rates' central first and second differences.  h_y points into the
     side, so mirror-image runs do the same arithmetic.  Each row's numbers do
     not depend on the other rows."""
-    h = _INFO_STEP * np.stack([sides * cfg.geometry.w0_um, theta[:, 1], np.full(len(theta), binw_s)], axis=1)
+    h = np.empty_like(theta)
+    h[:, 0], h[:, 1], h[:, 2] = sides * cfg.geometry.w0_um, theta[:, 1], binw_s
+    h *= _INFO_STEP
     hyp = theta[:, None] + _OFFSETS * h[:, None]
     lam = _bin_rates(cfg, t, *hyp.transpose(2, 0, 1)[..., None], flux0_cps, background_cps, binw_s)
-    lam0, plus, minus = lam[:, 0], lam[:, 1:4], lam[:, 4:7]
-    d2 = np.empty((len(theta), 3, 3, len(t)))
-    d2[:, [0, 1, 2], [0, 1, 2]] = plus - 2.0 * lam0[:, None] + minus
-    for p, (i, j) in enumerate(_PAIRS):
-        d2[:, i, j] = d2[:, j, i] = lam[:, 7 + p] - plus[:, i] - plus[:, j] + lam0
-    jac = (plus - minus) / 2.0
+    lam0 = lam[:, 0]
+    jac = _JAC @ lam
     jac_t = np.swapaxes(jac, -1, -2)
     resid = k / lam0 - 1.0
-    observed = (jac * (k / lam0**2)[:, None]) @ jac_t - (d2 @ resid[:, None, :, None])[..., 0]
-    score = (jac @ resid[..., None])[..., 0]
+    # the differences are linear in the rates, so their residual-weighted sums
+    # take one product of the 10 rates with the residual; every product is
+    # stacked per row, as one 2-D product over rows can round a row's sums
+    # differently in different batches
+    lam_resid = lam @ resid[..., None]
+    score = (_JAC @ lam_resid)[..., 0]
+    curvature = (_D2 @ lam_resid[:, None])[..., 0]
+    observed = (jac * (k / lam0**2)[:, None]) @ jac_t - curvature
     return _poisson_loglik(k, lam0), score, observed, (jac / lam0[:, None]) @ jac_t, h
+
+
+def _newton_step(observed, expected, score, held):
+    """Least-squares solutions of I step = score, one per row, with I the
+    observed information where it is positive definite and the expected one
+    elsewhere.  A held row (a run holding y at y = 0) has the y row and
+    column of I zeroed, so y decouples with eigenvalue 0; the row solves over
+    (v, t_c) alone and gets a y step of exactly 0.0.  I is eigendecomposed
+    and eigenvalues w with |w| <= eps * (block size) * max|w| are dropped,
+    the rank rule of np.linalg.lstsq, so a singular I gives the minimum-norm
+    solution.  Each row's step depends on that row alone."""
+    free = np.where(held[:, None], _Y_HELD, 1.0)
+    block = free[:, :, None] * free[:, None, :]
+    size = 3 - held
+    # the decomposition that tests positive definiteness (every eigenvalue of
+    # the block positive; a decoupled y is 0, not positive) is the solve's
+    w, vec = np.linalg.eigh(observed * block)
+    positive = (w > 0).sum(axis=-1) == size
+    if not positive.all():
+        w[~positive], vec[~positive] = np.linalg.eigh(expected[~positive] * block[~positive])
+    magnitude = np.abs(w)
+    keep = magnitude > np.finfo(float).eps * size[:, None] * magnitude.max(axis=-1, keepdims=True)
+    # the score's coordinates on the kept eigenvectors over their eigenvalues
+    coef = ((score * free)[:, None, :] @ vec) / np.where(keep, w, np.inf)[:, None, :]
+    step = (coef @ np.swapaxes(vec, -1, -2))[:, 0]
+    step[held, 0] = 0.0
+    return step
 
 
 @dataclass(frozen=True)
@@ -348,67 +398,67 @@ def minimize(cfg, t, k, thetas, sides, flux0_cps, background_cps, binw_s) -> Ref
     (y, v, t_c), with sign(y) held to that run's entry of sides (named for
     the benchmark's tracer, which wraps it).
 
-    A step solves I step = score by least squares, with I the observed
-    information of `_local_model`, or the expected one, J diag(1/lam) J^T,
-    where the observed one is not positive definite.  At y = 0, while the
-    score points across the bound, y is held; a trial's y is clipped to the
-    side.  A step is halved until the log-likelihood does not fall at a
-    positive speed.  A run has converged once a step is predicted to gain
-    under REFINE_TOL, and stops unconverged after MAX_REFINE_STEPS steps.
-    The runs advance in lockstep: each iteration evaluates the trials of
-    every run still going in one rate call, and each run's path is the one
+    A step solves I step = score by least squares (`_newton_step`), with I
+    the observed information of `_local_model`, or the expected one,
+    J diag(1/lam) J^T, where the observed one is not positive definite.  At
+    y = 0, while the score points across the bound, y is held; a trial's y
+    is clipped to the side.  A step is halved until the log-likelihood does
+    not fall at a positive speed.  A run has converged once a step is
+    predicted to gain under REFINE_TOL, and stops unconverged after
+    MAX_REFINE_STEPS steps.  The runs advance in lockstep: each iteration
+    evaluates the trials of every live run in one rate call and makes one
+    stacked Newton step for all of them, which a run whose trial was
+    rejected discards for half its last step.  Each run's path is the one
     it takes alone.
     """
-    theta = np.array(thetas, dtype=float)
-    sides = np.asarray(sides, dtype=float)
     model = partial(_local_model, cfg, t, k, flux0_cps, background_cps, binw_s)
-    ll, score, observed, expected, h = model(theta, sides)
-    run_nfev = np.full(len(theta), 10)
-    converged = np.zeros(len(theta), dtype=bool)
-    n_steps = np.zeros(len(theta), dtype=int)
-    step = np.zeros_like(theta)
-    gain = np.zeros(len(theta))
-
-    def plan(rows):
-        """Set the Newton step of each run in rows from its local model and
-        return the runs whose step is predicted to gain at least REFINE_TOL."""
-        # the step's block starts at v (f = 1) while a run sits at y = 0 and
-        # the score points across the bound
-        first = {r: int(theta[r, 0] == 0 and not score[r, 0] > 0) for r in rows}
-        positive = {}
-        for f in set(first.values()):
-            group = [r for r in rows if first[r] == f]
-            eig = np.linalg.eigvalsh(observed[group, f:, f:])
-            positive.update(zip(group, np.all(eig > 0, axis=-1)))
-        for r in rows:
-            f = first[r]
-            info = observed[r] if positive[r] else expected[r]
-            step[r] = 0.0
-            step[r, f:] = np.linalg.lstsq(info[f:, f:], score[r, f:], rcond=None)[0]
-            gain[r] = 0.5 * score[r] @ step[r]
-            converged[r] = not gain[r] >= REFINE_TOL
-        return rows[~converged[rows]]
-
-    live = plan(np.arange(len(theta))) if MAX_REFINE_STEPS > 0 else np.arange(0)
-    while live.size:
-        side = sides[live]
-        trial = theta[live] + step[live] * h[live]
+    theta = np.array(thetas, dtype=float)
+    side = np.asarray(sides, dtype=float)
+    n_runs = len(theta)
+    # filled in, row by row, as the runs end
+    ends = Refinement(
+        np.empty_like(theta), np.empty(n_runs), np.empty((n_runs, 3, 3)), np.empty_like(theta),
+        np.zeros(n_runs, dtype=bool), np.zeros(n_runs, dtype=int),
+    )
+    # the live runs, one row each: the run's index, its side, its point and
+    # local model, step, predicted gain, steps taken and hypotheses evaluated
+    run = np.arange(n_runs)
+    ll, score, observed, expected, h = model(theta, side)
+    step, gain = np.zeros_like(theta), np.zeros(n_runs)
+    n_steps, nfev = np.zeros(n_runs, dtype=int), np.full(n_runs, 10)
+    moved = np.ones(n_runs, dtype=bool)  # the runs with a new local model
+    while True:
+        # a run at y = 0 holds y while the score points across the bound
+        newton = _newton_step(observed, expected, score, (theta[:, 0] == 0) & ~(score[:, 0] > 0))
+        step = np.where(moved[:, None], newton, step / 2.0)
+        gain = np.where(moved, 0.5 * (score * newton).sum(axis=-1), gain / 2.0)
+        capped = moved & (n_steps >= MAX_REFINE_STEPS)
+        done = capped | ~(gain >= REFINE_TOL)
+        if done.any():
+            ended = run[done]
+            for end, live in zip((ends.x, ends.ll, ends.expected, ends.h, ends.run_nfev), (theta, ll, expected, h, nfev)):
+                end[ended] = live[done]
+            ends.converged[ended] = ~capped[done]
+            going = ~done
+            run, side, theta, ll, score, observed, expected, h, step, gain, n_steps, nfev = (
+                live[going] for live in (run, side, theta, ll, score, observed, expected, h, step, gain, n_steps, nfev)
+            )
+        if not run.size:
+            return ends
+        trial = theta + step * h
         # y clipped to the side; unlike np.maximum, where keeps a -0.0
         bound = side * trial[:, 0]
         trial[:, 0] = side * np.where(0.0 > bound, 0.0, bound)
         at_trial = model(trial, side)
-        run_nfev[live] += 10
-        ok = (trial[:, 1] > 0) & (at_trial[0] >= ll[live])
-        moved, halved = live[ok], live[~ok]
-        theta[moved] = trial[ok]
-        for state, new in zip((ll, score, observed, expected, h), at_trial):
-            state[moved] = new[ok]
-        n_steps[moved] += 1
-        step[halved] /= 2.0
-        gain[halved] /= 2.0
-        converged[halved] = ~(gain[halved] >= REFINE_TOL)
-        live = np.concatenate([plan(moved[n_steps[moved] < MAX_REFINE_STEPS]), halved[~converged[halved]]])
-    return Refinement(theta, ll, expected, h, converged, run_nfev)
+        nfev += 10
+        moved = (trial[:, 1] > 0) & (at_trial[0] >= ll)
+        # an accepted run takes its trial's point and local model
+        theta = np.where(moved[:, None], trial, theta)
+        ll, score, observed, expected, h = (
+            np.where(moved.reshape(-1, *[1] * (new.ndim - 1)), new, old)
+            for new, old in zip(at_trial, (ll, score, observed, expected, h))
+        )
+        n_steps += moved
 
 
 _TRANSFORMS = {

@@ -1,7 +1,12 @@
 """Detector model tests: expected traces and Poisson count sampling."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cavity_transit import (
     DetectorConfig,
@@ -12,7 +17,7 @@ from cavity_transit import (
     expected_trace,
     sample_counts,
 )
-from cavity_transit.detector import bin_centers, expected_bin_counts
+from cavity_transit.detector import _time_axis_fault, bin_centers, expected_bin_counts
 
 CFG = SystemConfig()  # tilt 45 deg
 CFG_UNTILTED = SystemConfig(geometry=ModeGeometry(tilt_deg=0.0))
@@ -141,3 +146,54 @@ def test_degenerate_window():
     det = DetectorConfig(bin_width_us=10.0, window_us=(-2.0, 2.0))
     with pytest.raises(ValueError):
         expected_trace(CFG, Trajectory(0.0, 0.42), det)
+
+
+def _time_axis_fault_loop(t):
+    """The per-bin loop `_time_axis_fault` must agree with, index and message."""
+    t = np.asarray(t, dtype=float)
+    median = float(np.median(np.diff(t))) if len(t) > 1 else 0.0
+    t = t.tolist()
+    for i, ti in enumerate(t):
+        if not math.isfinite(ti):
+            return i, f"time {ti!r} is not finite"
+        if i and ti <= t[i - 1]:
+            return i, f"time {ti!r} does not follow {t[i - 1]!r}"
+        if i and abs(ti - t[i - 1] - median) > 1e-6 * median:
+            return i, f"time step {ti - t[i - 1]!r} differs from the median step {median!r}"
+    return None
+
+
+# edits of an evenly stepped axis: a non-finite time, a repeated time, a step back,
+# and every later time shifted so that one step is off the median by just
+# under or just over 1e-6 of it, either way
+_AXIS_EDITS = st.sampled_from(["nan", "inf", "-inf", "repeat", "back", "inside+", "inside-", "outside+", "outside-"])
+
+
+@given(
+    n=st.integers(0, 30),
+    t0=st.floats(-1.0, 1.0),
+    # a constant or decreasing axis has a median step of 0 or below
+    step=st.one_of(st.floats(1e-6, 1e-3), st.just(0.0), st.floats(-1e-3, -1e-6)),
+    edits=st.lists(st.tuples(st.integers(0, 29), _AXIS_EDITS), max_size=3),
+)
+@example(n=10, t0=0.0, step=1e-5, edits=[(4, "inf"), (5, "inf")])  # an inf - inf step
+@settings(max_examples=300, deadline=None)
+def test_time_axis_fault_matches_the_per_bin_loop(n, t0, step, edits):
+    t = t0 + step * np.arange(n)
+    for i, kind in edits:
+        if i >= n:
+            continue
+        if kind in ("nan", "inf", "-inf"):
+            t[i] = float(kind)
+        elif kind == "repeat" and i:
+            t[i] = t[i - 1]
+        elif kind == "back" and i:
+            t[i] = t[i - 1] - step
+        elif kind.startswith(("inside", "outside")):
+            off = (1.0 - 1e-3 if kind.startswith("inside") else 1.0 + 1e-3) * 1e-6 * step
+            t[i:] += off if kind.endswith("+") else -off
+    with np.errstate(all="ignore"):  # the loop's median step of an axis holding inf
+        expected = _time_axis_fault_loop(t)
+    with warnings.catch_warnings():  # and the check itself warns of nothing
+        warnings.simplefilter("error")
+        assert _time_axis_fault(t) == expected

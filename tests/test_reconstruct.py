@@ -40,6 +40,8 @@ from cavity_transit.reconstruct import (
     _bin_rates,
     _coarse_grid,
     _grid_table,
+    _local_model,
+    _newton_step,
     _poisson_loglik,
     minimize,
 )
@@ -367,6 +369,75 @@ def test_lockstep_runs_do_not_depend_on_their_batch(monkeypatch, cfg, det, truth
     assert batch.nfev == sum(single.nfev for single in singles)
     assert any(halved)
     assert batch.run_nfev[5] == 10 and batch.converged[5]
+
+
+def _lstsq_step(observed, expected, score, held):
+    """One run's Newton step solved on its own by np.linalg.lstsq: over
+    (v, t_c) alone when the run holds y, with the observed information where
+    that block of it is positive definite and the expected one elsewhere."""
+    f = int(held)
+    info = observed if np.all(np.linalg.eigvalsh(observed[f:, f:]) > 0) else expected
+    step = np.zeros(3)
+    step[f:] = np.linalg.lstsq(info[f:, f:], score[f:], rcond=None)[0]
+    return step
+
+
+def _step_cases():
+    """{name: (observed, expected, score, held)} of single runs."""
+    rng = np.random.default_rng(12)
+
+    def spd():
+        a = rng.normal(size=(3, 3))
+        return a @ a.T + 0.1 * np.eye(3)
+
+    score = np.array([0.7, -1.3, 0.4])
+    rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    indefinite = rotation @ np.diag([2.0, 0.5, -0.3]) @ rotation.T
+    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    # y row and column scaled by 1e-9: the y eigenvalue falls under the rank
+    # rule's cut, where a plain solve would divide by it
+    scale = np.diag([1e-9, 1.0, 1.0])
+    near_singular = scale @ spd() @ scale
+    cases = {
+        "positive-definite": (spd(), spd(), score, False),
+        "not-positive-definite": (indefinite, spd(), score, False),
+        "held": (spd(), spd(), score, True),
+        "held-not-positive-definite": (indefinite, spd(), score, True),
+        "singular-expected": (indefinite, singular, score, False),
+        "near-singular": (near_singular, near_singular, score, False),
+    }
+    # a reference trace's local models: at the truth, and at y = 0 on the
+    # + side, where the score pushes y across the bound
+    trace = sample_counts(expected_trace(CFG, Trajectory(-16.3, 0.39), DET), DET, 0)
+    theta = np.array([[-16.3, 0.39, 0.0], [0.0, 0.39, 0.0]])
+    binw_s = float(np.median(np.diff(trace.t)))
+    _, score, observed, expected, _ = _local_model(
+        CFG, trace.t, trace.counts.astype(float), DET.flux0_cps, 0.0, binw_s, theta, np.array([-1.0, 1.0])
+    )
+    assert score[1, 0] < 0
+    cases["reference-trace"] = (observed[0], expected[0], score[0], False)
+    cases["reference-trace-held"] = (observed[1], expected[1], score[1], True)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_step_cases()))
+def test_stacked_step_matches_per_run_lstsq(name):
+    # the stacked step of each run equals, within 1e-12, the step lstsq gives
+    # that run alone, and does not depend on the other runs in the stack
+    cases = _step_cases()
+    observed, expected, score, held = cases[name]
+    reference = _lstsq_step(observed, expected, score, held)
+    alone = _newton_step(observed[None], expected[None], score[None], np.array([held]))[0]
+    stacked = _newton_step(*(np.array(column) for column in zip(*cases.values())))
+    assert np.array_equal(stacked[list(cases).index(name)], alone)
+    assert np.linalg.norm(alone - reference) <= 1e-12 * np.linalg.norm(reference)
+    if held:
+        assert alone[0] == 0.0 and not np.signbit(alone[0])
+    if name == "not-positive-definite":
+        assert np.min(np.linalg.eigvalsh(observed)) < 0
+    if name == "singular-expected":
+        # the minimum-norm solution: nothing along the null vector
+        assert abs(alone @ [1.0, -1.0, 0.0]) <= 1e-12 * np.linalg.norm(alone)
 
 
 @pytest.mark.parametrize("flux0_cps", [0.0, -5e6, np.inf])
