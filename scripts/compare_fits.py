@@ -29,11 +29,17 @@ trees run one after the other on a possibly busy host, and the first case
 pays each process's one-time costs.  Speed claims rest on
 `benchmarks/run.py`.
 
+A tree that has `fit_transits` also fits each case's seeds in one call of
+it.  For such a tree each case shows how many of those batched fits differ
+from the tree's own per-trace fits, with the batched wall time per fit
+beside the per-trace one (informational, as above).
+
 Usage: python scripts/compare_fits.py SRC_A SRC_B
 
 SRC_A and SRC_B are `src` directories (for example the one of this checkout
 and the one of an exported parent commit).  Exits 0 when every fit is
-equal, 1 otherwise.
+equal and no batched fit differs from its tree's per-trace fit, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -63,32 +69,49 @@ CASES = [
 
 # Runs inside the fresh interpreter: argv is (src,); prints one JSON object:
 # "fits" holds one list per case, each item a FitResult dict or an error
-# string, and "seconds" the wall time of each case's fit_transit calls.
+# string, and "seconds" the wall time of each case's fit_transit calls;
+# "batched" and "batched_seconds" hold the same for one fit_transits call
+# per case, or are null for a tree without fit_transits.
 DRIVER = """
 import dataclasses, json, sys, time
 sys.path.insert(0, sys.argv[1])
+import cavity_transit
 from cavity_transit import (
     DetectorConfig, ModeGeometry, ModeIndex, SystemConfig, Trajectory, expected_trace, fit_transit, sample_counts
 )
-out, seconds = [], []
+fit_transits = getattr(cavity_transit, "fit_transits", None)
+
+def record(fit):
+    if isinstance(fit, ValueError):
+        return f"{type(fit).__name__}: {fit}"
+    # a tree whose FitResult nests its parameters flattens them in to_dict
+    return fit.to_dict() if hasattr(fit, "to_dict") else dataclasses.asdict(fit)
+
+out, seconds, batched, batched_seconds = [], [], [], []
 for label, mode, tilt, y, v, t_c, background, seeds in CASES:
     cfg = SystemConfig(mode=ModeIndex(*mode), geometry=ModeGeometry(tilt_deg=tilt))
     det = DetectorConfig(background_cps=background)
     clean = expected_trace(cfg, Trajectory(y, v, t_c_s=t_c), det)
+    traces = [sample_counts(clean, det, seed) for seed in range(seeds)]
     fits = []
     seconds.append(0.0)
-    for seed in range(seeds):
-        trace = sample_counts(clean, det, seed)
+    for trace in traces:
         start = time.perf_counter()
         try:
             fit = fit_transit(cfg, det, trace)
-            # a tree whose FitResult nests its parameters flattens them in to_dict
-            fits.append(fit.to_dict() if hasattr(fit, "to_dict") else dataclasses.asdict(fit))
         except ValueError as exc:
-            fits.append(f"{type(exc).__name__}: {exc}")
+            fit = exc
         seconds[-1] += time.perf_counter() - start
+        fits.append(record(fit))
     out.append(fits)
-print(json.dumps({"fits": out, "seconds": seconds}))
+    if fit_transits is not None:
+        start = time.perf_counter()
+        batch = fit_transits(cfg, det, traces)
+        batched_seconds.append(time.perf_counter() - start)
+        batched.append([record(fit) for fit in batch])
+if fit_transits is None:
+    batched = batched_seconds = None
+print(json.dumps({"fits": out, "seconds": seconds, "batched": batched, "batched_seconds": batched_seconds}))
 """
 
 
@@ -115,6 +138,13 @@ def _ratio(delta: float, scale: float) -> float:
     return delta / scale if 0.0 < scale < math.inf else math.inf
 
 
+def _same_fit(a, b) -> bool:
+    """Two fits (dicts) or error strings equal, NaN equal to NaN."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+
+
 def compare(run_a: dict, run_b: dict) -> int:
     n_fits = n_diff = 0
     worst: dict[str, float] = {}
@@ -124,6 +154,7 @@ def compare(run_a: dict, run_b: dict) -> int:
     sigma_rel = dict.fromkeys(PARAM_SIGMA.values(), 0.0)
     changed = {"converged": 0, "sign verdict": 0, "n_evals": 0}
     unidentified = []
+    batch_diff = {"A": [], "B": []}  # per case, for a tree with fit_transits
     cases = zip(CASES, run_a["fits"], run_b["fits"], run_a["seconds"], run_b["seconds"])
     for (label, *_), fits_a, fits_b, s_a, s_b in cases:
         differ = 0
@@ -156,6 +187,15 @@ def compare(run_a: dict, run_b: dict) -> int:
         ms_a, ms_b = (1e3 * s / len(fits_a) for s in (s_a, s_b))
         print(f"{label}: {differ} of {len(fits_a)} fits differ (ms per fit, informational: A {ms_a:.1f}, B {ms_b:.1f})")
         n_diff += differ
+        for tree, run in (("A", run_a), ("B", run_b)):
+            if run["batched"] is not None:
+                c = len(batch_diff[tree])
+                fits, batch, s, s_batch = run["fits"][c], run["batched"][c], run["seconds"][c], run["batched_seconds"][c]
+                batch_diff[tree].append(sum(not _same_fit(x, y) for x, y in zip(fits, batch)))
+                print(
+                    f"  {tree} batched: {batch_diff[tree][-1]} of {len(batch)} differ from {tree}'s per-trace fits "
+                    f"(ms per fit, informational: per-trace {1e3 * s / len(fits):.1f}, batched {1e3 * s_batch / len(batch):.1f})"
+                )
     for key, value in per_field.items():
         print(f"{key}: {value} fits differ")
     for key, value in worst.items():
@@ -175,9 +215,14 @@ def compare(run_a: dict, run_b: dict) -> int:
             + ", ".join(f"{key} {value:.3g}" for key, value in rel.items())
         )
     print(f"{n_fits - n_diff} of {n_fits} fits equal, {n_diff} differ")
+    for tree, run in (("A", run_a), ("B", run_b)):
+        if run["batched"] is None:
+            print(f"{tree} has no fit_transits")
+        else:
+            print(f"{tree} batched fits that differ from {tree}'s per-trace fits: {sum(batch_diff[tree])}")
     total_a, total_b = sum(run_a["seconds"]), sum(run_b["seconds"])
     print(f"fit wall time, informational: A {total_a:.2f} s, B {total_b:.2f} s, A / B {total_a / total_b:.2f}")
-    return 1 if n_diff else 0
+    return 1 if n_diff or sum(batch_diff["A"]) or sum(batch_diff["B"]) else 0
 
 
 def main() -> int:

@@ -19,7 +19,7 @@ from cavity_transit import (
     SystemConfig,
     Trajectory,
     expected_trace,
-    fit_transit,
+    fit_transits,
     sample_counts,
 )
 
@@ -37,12 +37,13 @@ def main():
     for flux in FLUXES:
         det = DetectorConfig(flux0_cps=flux)
         clean = expected_trace(cfg, truth, det)
-        err_y, err_v, sig_y = [], [], []
-        for seed in range(n_seeds):
-            fit = fit_transit(cfg, det, sample_counts(clean, det, seed))
-            err_y.append(abs(fit.params.y_off_um - y))
-            err_v.append(abs(fit.params.v_mps - v))
-            sig_y.append(fit.sigma_y_um)
+        fits = fit_transits(cfg, det, [sample_counts(clean, det, seed) for seed in range(n_seeds)])
+        for fit in fits:
+            if isinstance(fit, ValueError):
+                raise fit
+        err_y = [abs(fit.params.y_off_um - y) for fit in fits]
+        err_v = [abs(fit.params.v_mps - v) for fit in fits]
+        sig_y = [fit.sigma_y_um for fit in fits]
         lam0 = flux * det.bin_width_us * 1e-6
         print(
             f"{flux:12.0e} {lam0:9.0f} {np.median(err_y):12.3f} "

@@ -32,6 +32,7 @@ from .reconstruct import (
     NoTransitError,
     degeneracy_scan,
     fit_transit,
+    fit_transits,
     log_likelihood,
     x_resolution,
 )

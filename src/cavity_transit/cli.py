@@ -31,7 +31,7 @@ from .config import (
 from .detector import expected_trace, sample_counts
 from .kinematics import Trajectory, sample_ensemble
 from .modes import LabPoint, lab_to_mode, mode_amplitude
-from .reconstruct import KNOWN_TRANSFORMS, degeneracy_scan, fit_transit
+from .reconstruct import KNOWN_TRANSFORMS, degeneracy_scan, fit_transit, fit_transits
 from .svgplot import heatmap_svg
 from .thermometry import estimate_temperature, records_from_fits
 from .transmission import Detunings, _scan_axis, detuning_scan, position_scan, transmission_vs_coupling
@@ -131,24 +131,42 @@ def cmd_transit(args, rc: RunConfig) -> int:
 def cmd_fit(args, rc: RunConfig) -> int:
     cfg, det = system_config(rc), detector_config(rc)
     trace_path = Path(args.trace)
-    if trace_path.is_dir():
-        # batch mode: fit every trace in the directory, ordered by filename
+    batch = trace_path.is_dir()
+    if batch:
+        # batch mode: fit every trace in the directory together, then report
+        # and write in filename order
         inputs = sorted(trace_path.glob("*.csv"))
         if not inputs:
             raise ConfigError(f"no trace CSV files found in {trace_path}")
         outdir = _out_path(rc, "fits")
         outdir.mkdir(parents=True, exist_ok=True)
-        jobs = [(path, outdir / (path.stem + ".json")) for path in inputs]
+        outs = [outdir / (path.stem + ".json") for path in inputs]
     else:
-        jobs = [(trace_path, _out_path(rc, "fit.json"))]
-    failed = stuck = False
-    for path, out in jobs:
+        inputs, outs = [trace_path], [_out_path(rc, "fit.json")]
+    results = []  # each input's trace, and then its fit, or its error
+    for path in inputs:
         try:
-            result = fit_transit(cfg, det, fileio.read_trace_csv(path), flux0_cps=args.flux0_known)
+            results.append(fileio.read_trace_csv(path))
         except (ValueError, OSError) as exc:
+            results.append(exc)
+    read = [i for i, trace in enumerate(results) if not isinstance(trace, Exception)]
+    if batch:
+        fits = fit_transits(cfg, det, [results[i] for i in read], flux0_cps=args.flux0_known)
+    else:
+        fits = []
+        for i in read:
+            try:
+                fits.append(fit_transit(cfg, det, results[i], flux0_cps=args.flux0_known))
+            except ValueError as exc:
+                fits.append(exc)
+    for i, fit in zip(read, fits):
+        results[i] = fit
+    failed = stuck = False
+    for path, out, result in zip(inputs, outs, results):
+        if isinstance(result, Exception):
             # CSV format and file-system errors name the file themselves
-            named = isinstance(exc, (fileio.CsvFormatError, OSError))
-            print(f"error: {exc}" if named else f"error: {path}: {exc}", file=sys.stderr)
+            named = isinstance(result, (fileio.CsvFormatError, OSError))
+            print(f"error: {result}" if named else f"error: {path}: {result}", file=sys.stderr)
             failed = True
             continue
         fileio.write_fit_json(out, result)

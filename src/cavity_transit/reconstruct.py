@@ -13,6 +13,8 @@ the fitter requires, its transmission is evaluated once per (y_off, v, bin
 offset), cached per (configuration, bin width, bin count), and every
 candidate is scored on a window of that table.  The six Newton runs advance
 together, one rate call per iteration for every run still going.
+`fit_transits` fits many traces: each gets its own grid, and then the runs
+of all the traces of one bin count advance together in the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +38,10 @@ Y_STEP_WAISTS = 0.125
 V_GRID_MPS = (0.25, 0.65, 0.025)
 
 MAX_REFINE_STEPS = 50
+# Traces whose Newton runs share one `minimize` call, at most: a larger batch
+# is cut into chunks, so that the stacked local models (10 rate hypotheses
+# per run and bin, and their temporaries) stay a few MB for any directory.
+FIT_BATCH_TRACES = 32
 REFINE_TOL = 1e-9  # log-likelihood units a Newton step must be predicted to gain
 SIGN_RESOLVE_MARGIN = 10.0  # log-likelihood units by which the mirror must lose
 
@@ -256,8 +262,64 @@ def fit_transit(
     Returns the parameters of the better side, their uncertainties from the
     inverse expected Poisson information of its best run's last local model
     (flux0 held fixed) and, as mirror_log_lik, the log-likelihood of the
-    other side.
+    other side.  This is `fit_transits` of a one-trace batch.
     """
+    (fit,) = fit_transits(cfg, det, [trace], flux0_cps=flux0_cps)
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
+
+
+def fit_transits(
+    cfg: SystemConfig,
+    det: DetectorConfig,
+    traces,
+    *,
+    flux0_cps: float | None = None,
+) -> list[FitResult | ValueError]:
+    """`fit_transit` of each trace, in order: its FitResult, or the
+    ValueError (NoTransitError included) `fit_transit` raises for it.
+
+    Each trace gets its own checks, flux estimate, grid and starts.  Then
+    the Newton runs of up to FIT_BATCH_TRACES traces of one bin count
+    advance in one `minimize` call, each run on its own trace's time axis,
+    counts, flux and bin width, so every result equals the trace's
+    `fit_transit` bit for bit, and a bad trace stops no other.
+    """
+    results, by_bins = [], {}
+    for trace in traces:
+        try:
+            results.append(_grid_starts(cfg, det, trace, flux0_cps))
+        except ValueError as exc:
+            results.append(exc)
+            continue
+        by_bins.setdefault(len(trace), []).append(len(results) - 1)
+    for indices in by_bins.values():
+        for first in range(0, len(indices), FIT_BATCH_TRACES):
+            chunk = indices[first : first + FIT_BATCH_TRACES]
+            for i, fit in zip(chunk, _refine(cfg, det.background_cps, [results[i] for i in chunk])):
+                results[i] = fit
+    return results
+
+
+@dataclass(frozen=True)
+class _Starts:
+    """One trace's data and Newton starts, from its grid: time axis, counts,
+    bin width and flux, the starts (y, v, t_c) with their sides, and the
+    number of grid hypotheses."""
+
+    t: np.ndarray
+    k: np.ndarray
+    binw_s: float
+    flux0_cps: float
+    starts: list
+    sides: list
+    n_grid: int
+
+
+def _grid_starts(cfg, det, trace, flux0_cps) -> _Starts:
+    """The per-trace stage of a fit: checks, flux and grid (see
+    `fit_transit`, whose ValueErrors it raises)."""
     for name in ("delta_pa", "delta_ca"):
         value = getattr(cfg.detunings, name)
         if not isinstance(value, numbers.Real):
@@ -278,8 +340,6 @@ def fit_transit(
         raise ValueError(f"empty-cavity rate must be positive, got {flux0_cps!r} counts/s")
 
     y_grid, v_grid, tc_grid, grid_ll = _coarse_grid(cfg, t, k, flux0_cps, det.background_cps, binw_s)
-    n_evals = grid_ll.size
-
     starts, sides = [], []
     # y_grid is sorted and holds 0 exactly, at row `zero`: the rows from it
     # on are the y >= 0 side, the rows up to it the y <= 0 side
@@ -291,46 +351,65 @@ def fit_transit(
             if 0 <= m < len(t):
                 starts.append((y_grid[i], v_grid[j], tc_grid[m]))
                 sides.append(sign)
-    sides = np.array(sides)
-    runs = minimize(cfg, t, k, np.array(starts), sides, flux0_cps, det.background_cps, binw_s)
-    n_evals += runs.nfev
-    side_best = [max(np.flatnonzero(sides == sign), key=lambda r: runs.ll[r]) for sign in (1.0, -1.0)]
-    best, mirror = sorted(side_best, key=lambda r: -runs.ll[r])
+    return _Starts(t, k, binw_s, flux0_cps, starts, sides, grid_ll.size)
 
-    # sigma = sqrt(diag(I^-1)) of the winning run's last expected information,
-    # NaN for a non-positive diagonal entry or a singular I
-    try:
-        diag = np.diag(np.linalg.inv(runs.expected[best]))
-        sigma = np.where(diag > 0, np.abs(runs.h[best]) * np.sqrt(np.abs(diag)), np.nan)
-    except np.linalg.LinAlgError:
-        sigma = np.full(3, np.nan)
-    ln_fact = _ln_factorial_sum(k)
-    return FitResult(
-        *(float(v) for v in runs.x[best]),
-        sigma_y_um=float(sigma[0]),
-        sigma_v_mps=float(sigma[1]),
-        sigma_tc_s=float(sigma[2]),
-        log_lik=float(runs.ll[best] - ln_fact),
-        mirror_log_lik=float(runs.ll[mirror] - ln_fact),
-        converged=bool(runs.converged[best]),
-        n_evals=int(n_evals),
+
+def _refine(cfg, background_cps, traces: list[_Starts]) -> list[FitResult]:
+    """The FitResult of each trace, all of one bin count, from one `minimize`
+    call over the starts of every trace."""
+    n_runs = [len(tr.sides) for tr in traces]
+    of_run = np.repeat(np.arange(len(traces)), n_runs)  # each run's trace
+    column = lambda field: np.array([getattr(tr, field) for tr in traces])[of_run]
+    sides = np.concatenate([tr.sides for tr in traces])
+    starts = np.concatenate([tr.starts for tr in traces])
+    runs = minimize(
+        cfg, column("t"), column("k"), starts, sides, column("flux0_cps"), background_cps, column("binw_s")
     )
+    fits = []
+    for tr, stop in zip(traces, np.cumsum(n_runs)):
+        rows = np.arange(stop - len(tr.sides), stop)
+        side_best = [max(rows[sides[rows] == sign], key=lambda r: runs.ll[r]) for sign in (1.0, -1.0)]
+        best, mirror = sorted(side_best, key=lambda r: -runs.ll[r])
+        # sigma = sqrt(diag(I^-1)) of the winning run's last expected
+        # information, NaN for a non-positive diagonal entry or a singular I
+        try:
+            diag = np.diag(np.linalg.inv(runs.expected[best]))
+            sigma = np.where(diag > 0, np.abs(runs.h[best]) * np.sqrt(np.abs(diag)), np.nan)
+        except np.linalg.LinAlgError:
+            sigma = np.full(3, np.nan)
+        ln_fact = _ln_factorial_sum(tr.k)
+        fits.append(
+            FitResult(
+                *(float(v) for v in runs.x[best]),
+                sigma_y_um=float(sigma[0]),
+                sigma_v_mps=float(sigma[1]),
+                sigma_tc_s=float(sigma[2]),
+                log_lik=float(runs.ll[best] - ln_fact),
+                mirror_log_lik=float(runs.ll[mirror] - ln_fact),
+                converged=bool(runs.converged[best]),
+                n_evals=int(tr.n_grid + runs.run_nfev[rows].sum()),
+            )
+        )
+    return fits
 
 
 def _local_model(cfg, t, k, flux0_cps, background_cps, binw_s, theta, sides):
     """(ll, score, observed, expected, h) of each row of theta = (y, v, t_c),
     held to the side in sides: sum(k ln lam - lam), its gradient and the
     observed and expected information, all per step h = _INFO_STEP * (side *
-    w0, v, bin width), and h.  One rate call covers, per row, the 10
-    hypotheses theta, theta +- h_i and theta + h_i + h_j (i < j), which give
-    the rates' central first and second differences.  h_y points into the
-    side, so mirror-image runs do the same arithmetic.  Each row's numbers do
-    not depend on the other rows."""
+    w0, v, bin width), and h.  The time axis t and counts k (one row per
+    row of theta, or one for all), the flux and the bin width (one per row,
+    or a scalar) are those of each row's trace.  One rate call covers, per
+    row, the 10 hypotheses theta, theta +- h_i and theta + h_i + h_j
+    (i < j), which give the rates' central first and second differences.
+    h_y points into the side, so mirror-image runs do the same arithmetic.
+    Each row's numbers do not depend on the other rows."""
     h = np.empty_like(theta)
     h[:, 0], h[:, 1], h[:, 2] = sides * cfg.geometry.w0_um, theta[:, 1], binw_s
     h *= _INFO_STEP
     hyp = theta[:, None] + _OFFSETS * h[:, None]
-    lam = _bin_rates(cfg, t, *hyp.transpose(2, 0, 1)[..., None], flux0_cps, background_cps, binw_s)
+    flux0_cps, binw_s = (np.asarray(x)[..., None, None] for x in (flux0_cps, binw_s))
+    lam = _bin_rates(cfg, t[..., None, :], *hyp.transpose(2, 0, 1)[..., None], flux0_cps, background_cps, binw_s)
     lam0 = lam[:, 0]
     jac = _JAC @ lam
     jac_t = np.swapaxes(jac, -1, -2)
@@ -396,7 +475,9 @@ class Refinement:
 def minimize(cfg, t, k, thetas, sides, flux0_cps, background_cps, binw_s) -> Refinement:
     """Newton ascents of sum(k ln lam - lam), one from each row of thetas =
     (y, v, t_c), with sign(y) held to that run's entry of sides (named for
-    the benchmark's tracer, which wraps it).
+    the benchmark's tracer, which wraps it).  Each run fits its own trace:
+    t and k hold one time axis and one count row per run, and flux0_cps and
+    binw_s one value per run; the background is common.
 
     A step solves I step = score by least squares (`_newton_step`), with I
     the observed information of `_local_model`, or the expected one,
@@ -411,19 +492,20 @@ def minimize(cfg, t, k, thetas, sides, flux0_cps, background_cps, binw_s) -> Ref
     rejected discards for half its last step.  Each run's path is the one
     it takes alone.
     """
-    model = partial(_local_model, cfg, t, k, flux0_cps, background_cps, binw_s)
     theta = np.array(thetas, dtype=float)
     side = np.asarray(sides, dtype=float)
     n_runs = len(theta)
+    t, k, flux0_cps, binw_s = (np.asarray(x, dtype=float) for x in (t, k, flux0_cps, binw_s))
     # filled in, row by row, as the runs end
     ends = Refinement(
         np.empty_like(theta), np.empty(n_runs), np.empty((n_runs, 3, 3)), np.empty_like(theta),
         np.zeros(n_runs, dtype=bool), np.zeros(n_runs, dtype=int),
     )
-    # the live runs, one row each: the run's index, its side, its point and
-    # local model, step, predicted gain, steps taken and hypotheses evaluated
+    # the live runs, one row each: the run's index, its side, its trace, its
+    # point and local model, step, predicted gain, steps taken and hypotheses
+    # evaluated
     run = np.arange(n_runs)
-    ll, score, observed, expected, h = model(theta, side)
+    ll, score, observed, expected, h = _local_model(cfg, t, k, flux0_cps, background_cps, binw_s, theta, side)
     step, gain = np.zeros_like(theta), np.zeros(n_runs)
     n_steps, nfev = np.zeros(n_runs, dtype=int), np.full(n_runs, 10)
     moved = np.ones(n_runs, dtype=bool)  # the runs with a new local model
@@ -440,8 +522,11 @@ def minimize(cfg, t, k, thetas, sides, flux0_cps, background_cps, binw_s) -> Ref
                 end[ended] = live[done]
             ends.converged[ended] = ~capped[done]
             going = ~done
-            run, side, theta, ll, score, observed, expected, h, step, gain, n_steps, nfev = (
-                live[going] for live in (run, side, theta, ll, score, observed, expected, h, step, gain, n_steps, nfev)
+            run, side, t, k, flux0_cps, binw_s, theta, ll, score, observed, expected, h, step, gain, n_steps, nfev = (
+                live[going]
+                for live in (
+                    run, side, t, k, flux0_cps, binw_s, theta, ll, score, observed, expected, h, step, gain, n_steps, nfev
+                )
             )
         if not run.size:
             return ends
@@ -449,7 +534,7 @@ def minimize(cfg, t, k, thetas, sides, flux0_cps, background_cps, binw_s) -> Ref
         # y clipped to the side; unlike np.maximum, where keeps a -0.0
         bound = side * trial[:, 0]
         trial[:, 0] = side * np.where(0.0 > bound, 0.0, bound)
-        at_trial = model(trial, side)
+        at_trial = _local_model(cfg, t, k, flux0_cps, background_cps, binw_s, trial, side)
         nfev += 10
         moved = (trial[:, 1] > 0) & (at_trial[0] >= ll)
         # an accepted run takes its trial's point and local model

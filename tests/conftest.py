@@ -18,7 +18,7 @@ from cavity_transit import (
     SystemConfig,
     Trajectory,
     expected_trace,
-    fit_transit,
+    fit_transits,
     mode_amplitude,
     sample_counts,
 )
@@ -48,10 +48,10 @@ def run_mc_fits(y_um: float, v_mps: float, n_seeds: int = MC_SEEDS, flux0_cps: f
     det = DetectorConfig() if flux0_cps is None else DetectorConfig(flux0_cps=flux0_cps)
     truth = Trajectory(y_um, v_mps, t_c_s=0.0)
     clean = expected_trace(cfg, truth, det)
-    fits = []
-    for seed in range(n_seeds):
-        trace = sample_counts(clean, det, seed)
-        fits.append(fit_transit(cfg, det, trace))
+    fits = fit_transits(cfg, det, [sample_counts(clean, det, seed) for seed in range(n_seeds)])
+    for fit in fits:
+        if isinstance(fit, ValueError):
+            raise fit
     return {
         "fits": fits,
         "err_y": np.array([abs(f.params.y_off_um - y_um) for f in fits]),

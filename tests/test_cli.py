@@ -352,6 +352,33 @@ def test_batch_fit_goes_on_past_a_dipless_trace(tmp_path, capsys):
     assert "a.csv" not in err and "c.csv" not in err
 
 
+def test_batch_fit_reports_a_mixed_directory_in_filename_order(tmp_path, monkeypatch, capsys):
+    from cavity_transit import reconstruct
+
+    # one Newton step per run: every fit stops unconverged
+    monkeypatch.setattr(reconstruct, "MAX_REFINE_STEPS", 1)
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    run("transit", "--y", -16.3, "--v", 0.39, "--seed", 1, "--out", traces / "a.csv")
+    (traces / "b.csv").write_text("t_s,expected_T,counts\n0.0,1.0,50\nnot,a_number,x\n")
+    run("transit", "--y", 18.0, "--v", 0.42, "--seed", 3, "--out", traces / "c.csv")
+    run("transit", "--y", 200, "--v", 0.39, "--seed", 2, "--out", traces / "d.csv")  # no dip
+    run("transit", "--y", 5.0, "--v", 0.45, "--seed", 4, "--out", traces / "e.csv")
+    capsys.readouterr()
+    fits = tmp_path / "fits"
+    assert run("fit", "--trace", traces, "--out", fits) == 2
+    stuck = "fit did not converge; best-so-far parameters written"
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 5
+    assert lines[0] == f"{traces / 'a.csv'}: {stuck}"
+    assert lines[1].startswith(f"error: {traces / 'b.csv'}:3: ")
+    assert lines[2] == f"{traces / 'c.csv'}: {stuck}"
+    assert lines[3] == f"error: {traces / 'd.csv'}: no transit dip detected in trace"
+    assert lines[4] == f"{traces / 'e.csv'}: {stuck}"
+    assert sorted(p.name for p in fits.glob("*.json")) == ["a.json", "c.json", "e.json"]
+    assert not any(json.loads(p.read_text())["converged"] for p in fits.glob("*.json"))
+
+
 def test_batch_fit_empty_directory(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()

@@ -335,11 +335,16 @@ def test_lockstep_runs_do_not_depend_on_their_batch(monkeypatch, cfg, det, truth
     passed = []  # the arguments fit_transit gives minimize
     monkeypatch.setattr(reconstruct, "minimize", lambda *args: passed.append(args) or minimize(*args))
     fit_transit(cfg, det, trace)
-    _, t, k, starts, sides, *rest = passed[0]
+    _, t, k, starts, sides, flux0, background, binw = passed[0]
     assert len(starts) == 6
+
+    def runs(rows):
+        # minimize over these rows of the fit's runs, each with its trace's data
+        return minimize(cfg, t[rows], k[rows], starts[rows], sides[rows], flux0[rows], background, binw[rows])
+
     # the last start is where the first run ends, so it converges at step 0
-    starts[5], sides[5] = minimize(cfg, t, k, starts[:1], sides[:1], *rest).x[0], sides[0]
-    batch = minimize(cfg, t, k, starts, sides, *rest)
+    starts[5], sides[5] = runs(slice(0, 1)).x[0], sides[0]
+    batch = runs(slice(None))
 
     real = reconstruct._local_model
     evaluated = []  # (speed, log-likelihood) of each local model of a single run
@@ -354,7 +359,7 @@ def test_lockstep_runs_do_not_depend_on_their_batch(monkeypatch, cfg, det, truth
     singles = []
     for p in range(len(starts)):
         evaluated.clear()
-        single = minimize(cfg, t, k, starts[p : p + 1], sides[p : p + 1], *rest)
+        single = runs(slice(p, p + 1))
         for field in ("x", "ll", "expected", "h", "converged", "run_nfev"):
             assert np.array_equal(getattr(single, field)[0], getattr(batch, field)[p]), (p, field)
         singles.append(single)
@@ -369,6 +374,46 @@ def test_lockstep_runs_do_not_depend_on_their_batch(monkeypatch, cfg, det, truth
     assert batch.nfev == sum(single.nfev for single in singles)
     assert any(halved)
     assert batch.run_nfev[5] == 10 and batch.converged[5]
+
+
+@pytest.mark.parametrize("flux0_cps", [None, DET.flux0_cps], ids=["measured-flux", "known-flux"])
+def test_fit_transits_equals_fit_transit_per_trace(monkeypatch, flux0_cps):
+    det = DetectorConfig(background_cps=500.0)
+    reference = expected_trace(CFG, Trajectory(-16.3, 0.39), DET)
+    fine = DetectorConfig(bin_width_us=5.0)  # 100 bins
+    traces = [
+        _without_bins(sample_counts(reference, DET, 0), [20, 21, 22]),
+        sample_counts(expected_trace(CFG, Trajectory(200.0, 0.39), DET), DET, 2),  # no dip
+        sample_counts(expected_trace(CFG, Trajectory(3.0, 0.45, t_c_s=0.0123456), det), det, 8),
+        *(sample_counts(expected_trace(CFG, Trajectory(y, 0.42), fine), fine, 3) for y in (18.0, -10.0)),
+    ]
+    # reference traces at two clock origins, more of them than one batch holds
+    monkeypatch.setattr(reconstruct, "FIT_BATCH_TRACES", 4)
+    for seed in range(3):
+        trace = sample_counts(reference, DET, seed)
+        traces += [trace, dataclasses.replace(trace, t=trace.t + 0.03)]
+    batches = []  # the traces of each minimize call, by bin count
+    real = reconstruct.minimize
+
+    def spy(cfg, t, k, *rest):
+        batches.append((t.shape[1], len(np.unique(np.hstack([t, k]), axis=0))))
+        return real(cfg, t, k, *rest)
+
+    monkeypatch.setattr(reconstruct, "minimize", spy)
+    fits = reconstruct.fit_transits(CFG, det, traces, flux0_cps=flux0_cps)
+    assert sorted(batches) == [(50, 3), (50, 4), (100, 2)]
+    assert len(fits) == len(traces)
+    for trace, fit in zip(traces, fits):
+        try:
+            alone = fit_transit(CFG, det, trace, flux0_cps=flux0_cps)
+        except ValueError as exc:
+            assert type(fit) is type(exc) and str(fit) == str(exc)
+            continue
+        assert fit == alone
+    assert "time axis at bin 20" in str(fits[0])
+    assert isinstance(fits[1], NoTransitError)
+    assert all(isinstance(fit, FitResult) for fit in fits[2:])
+    assert reconstruct.fit_transits(CFG, det, []) == []
 
 
 def _lstsq_step(observed, expected, score, held):
