@@ -15,22 +15,30 @@ whose one fit JSON lacks `v_mps`, two transits that argparse refuses (one
 with a non-numeric value and one with an unknown flag), a position scan at
 y = NaN, a detuning scan at x = NaN, fixed-coupling scans at g = NaN and
 g = inf, and mode images with a NaN or negative extent and with 0 and 1
-samples.  The exit code of every command (the code of a SystemExit, or 1
-for an exception the CLI does not catch) is written to `exit_codes.txt`
-and whatever it printed to stderr to `stderr.txt`, with the tree's `src`
-path replaced by `<src>` so that the same warning from two trees reads the
-same.  Both files are compared like any other output, and their differing
-lines are printed.  For a differing CSV with the same row count, the number
-of differing rows and the largest relative difference of its numeric
-fields are printed too; for a differing JSON file with the same keys
-(nested keys joined by dots), the differing keys and the largest relative
-difference of their values (inf where a value is not a number).
+samples.  Last come the top-level `--help` and `transit --help`.  The exit
+code of every command (the code of a SystemExit, or 1 for an exception the
+CLI does not catch) is written to `exit_codes.txt`, whatever it printed to
+stderr to `stderr.txt` and to stdout (the help texts) to `stdout.txt`, with
+the tree's `src` path replaced by `<src>` so that the same warning from two
+trees reads the same.  These files are compared like any other output, and
+their differing lines are printed.  For a differing CSV with the same row
+count, the number of differing rows and the largest relative difference of
+its numeric fields are printed too; for a differing JSON file with the same
+keys (nested keys joined by dots), the differing keys and the largest
+relative difference of their values (inf where a value is not a number).
+
+Each interpreter runs the command list twice, into a `first` and a `second`
+directory, so that the second pass runs on whatever the first left in the
+process (the command-line parser, the fit grid's cached tables).  The first
+passes of the two trees are compared, and then each tree's second pass with
+its first: a command whose output, stderr, stdout or exit code depends on
+an earlier call in the same process shows up there.
 
 Usage: python scripts/compare_cli_outputs.py SRC_A SRC_B
 
 SRC_A and SRC_B are `src` directories (for example the one of this checkout
 and the one of an exported parent commit).  Exits 0 when every file is
-byte-identical, 1 otherwise.
+byte-identical in all three comparisons, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -94,6 +102,9 @@ COMMANDS = [
     ["mode-image", "--samples=0", "--out=bad_mode_image_0.csv"],
     ["mode-image", "--samples=1", "--out=bad_mode_image_1.csv"],
     ["mode-image", "--extent-um=-5", "--out=bad_mode_image_negative.csv"],
+    # help: exit code 0 and the text on stdout
+    ["--help"],
+    ["transit", "--help"],
 ]
 
 RUN_CONFIG = "# a config file read by one transit\nseed = 4\ntilt_deg = 30\n"
@@ -105,51 +116,63 @@ FIT_MISSING_KEY = (
     ' "log_lik": -100.0, "mirror_log_lik": -150.0, "converged": true, "n_evals": 1}\n'
 )
 
-# Runs inside the fresh interpreter: argv is (src, outdir).
+# Runs inside the fresh interpreter: argv is (src, outdir).  Each pass writes
+# its inputs and outputs into its own subdirectory of outdir.
 DRIVER = """
-import contextlib, io, sys
+import contextlib, io, os, sys, warnings
 src, outdir = sys.argv[1], sys.argv[2]
 sys.path.insert(0, src)
-import os
-os.chdir(outdir)
-os.makedirs("traces", exist_ok=True)
-with open("malformed_trace.csv", "w") as f:
-    f.write(MALFORMED_TRACE)
-os.makedirs("fits_missing_key")
-with open("fits_missing_key/fit.json", "w") as f:
-    f.write(FIT_MISSING_KEY)
-with open("run.cfg", "w") as f:
-    f.write(RUN_CONFIG)
 from cavity_transit.cli import main
-codes, errs = [], []
-for argv in COMMANDS:
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            # argparse refuses the command line before the CLI runs
-            code = exc.code
-        except Exception as exc:
-            # as from the shell: exit code 1 and the exception on stderr
-            code = 1
-            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    codes.append(f"{code} {' '.join(argv)}")
-    if err.getvalue():
-        # a warning names the file that raised it; drop the tree's own path
-        errs.append(f"$ {' '.join(argv)}\\n{err.getvalue().replace(src, '<src>')}")
-with open("exit_codes.txt", "w") as f:
-    f.write("\\n".join(codes) + "\\n")
-with open("stderr.txt", "w") as f:
-    f.write("".join(errs))
+
+def run_pass(passdir):
+    os.makedirs(passdir)
+    os.chdir(passdir)
+    os.makedirs("traces")
+    with open("malformed_trace.csv", "w") as f:
+        f.write(MALFORMED_TRACE)
+    os.makedirs("fits_missing_key")
+    with open("fits_missing_key/fit.json", "w") as f:
+        f.write(FIT_MISSING_KEY)
+    with open("run.cfg", "w") as f:
+        f.write(RUN_CONFIG)
+    codes, errs, outs = [], [], []
+    for argv in COMMANDS:
+        err, out = io.StringIO(), io.StringIO()
+        # entering catch_warnings forgets which warnings were shown, so a pass
+        # reports every warning, not only those an earlier pass did not show
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse refuses the command line, or prints its help, before the CLI runs
+                code = exc.code
+            except Exception as exc:
+                # as from the shell: exit code 1 and the exception on stderr
+                code = 1
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        codes.append(f"{code} {' '.join(argv)}")
+        for texts, stream in ((errs, err), (outs, out)):
+            if stream.getvalue():
+                # a warning names the file that raised it; drop the tree's own path
+                texts.append(f"$ {' '.join(argv)}\\n{stream.getvalue().replace(src, '<src>')}")
+    with open("exit_codes.txt", "w") as f:
+        f.write("\\n".join(codes) + "\\n")
+    for name, texts in (("stderr.txt", errs), ("stdout.txt", outs)):
+        with open(name, "w") as f:
+            f.write("".join(texts))
+
+for name in PASSES:
+    run_pass(os.path.join(outdir, name))
 """
+
+PASSES = ("first", "second")
 
 
 def run_tree(src: Path, outdir: Path) -> None:
     outdir.mkdir(parents=True)
     code = (
         f"COMMANDS = {COMMANDS!r}\nMALFORMED_TRACE = {MALFORMED_TRACE!r}\n"
-        f"FIT_MISSING_KEY = {FIT_MISSING_KEY!r}\nRUN_CONFIG = {RUN_CONFIG!r}\n" + DRIVER
+        f"FIT_MISSING_KEY = {FIT_MISSING_KEY!r}\nRUN_CONFIG = {RUN_CONFIG!r}\nPASSES = {PASSES!r}\n" + DRIVER
     )
     subprocess.run([sys.executable, "-c", code, str(src), str(outdir)], check=True)
 
@@ -230,12 +253,12 @@ def json_difference(a: Path, b: Path):
     return keys, worst
 
 
-def compare(dir_a: Path, dir_b: Path) -> int:
+def compare(dir_a: Path, dir_b: Path, names=("A", "B")) -> int:
     files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
     n_diff = 0
     for rel in sorted(files_a ^ files_b):
-        print(f"only in {'A' if rel in files_a else 'B'}: {rel}")
+        print(f"only in {names[0] if rel in files_a else names[1]}: {rel}")
         n_diff += 1
     for rel in sorted(files_a & files_b):
         a, b = dir_a / rel, dir_b / rel
@@ -250,7 +273,7 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         print(f"differs: {rel}" + (f" ({detail})" if detail else ""))
         if rel.suffix == ".txt":
             for line in difflib.unified_diff(
-                a.read_text().splitlines(), b.read_text().splitlines(), "A", "B", n=0, lineterm=""
+                a.read_text().splitlines(), b.read_text().splitlines(), *names, n=0, lineterm=""
             ):
                 if not line.startswith(("---", "+++", "@@")):
                     print(f"  {line}")
@@ -271,7 +294,13 @@ def main() -> int:
         dir_a, dir_b = Path(tmp) / "a", Path(tmp) / "b"
         run_tree(args.src_a.resolve(), dir_a)
         run_tree(args.src_b.resolve(), dir_b)
-        return compare(dir_a, dir_b)
+        first, second = PASSES
+        print(f"A against B, {first} pass:")
+        code = compare(dir_a / first, dir_b / first)
+        for name, outdir in (("A", dir_a), ("B", dir_b)):
+            print(f"{name}, {second} pass against {first}:")
+            code |= compare(outdir / first, outdir / second, (first, second))
+        return code
 
 
 if __name__ == "__main__":

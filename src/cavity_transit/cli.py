@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -217,7 +217,11 @@ def cmd_thermometry(args, rc: RunConfig) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one, so callers must not change it: argparse parses each call into
+    a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cavity-transit",
         description="Simulate and reconstruct single-atom transits through a tilted TEM10 cavity mode",

@@ -195,12 +195,23 @@ def estimate_flux0(trace: TransitTrace, background_cps: float = 0.0) -> float:
     return max(baseline_rate - background_cps, 0.0)
 
 
+def _window(x):
+    """W(x) of shape (2n-1, n) for the n values of x, W(x)[m, c] =
+    x[m + c - (n-1)], zero outside x: column c lines x up with the table
+    offsets of the t_c candidate c."""
+    n = len(x)
+    # contiguous: numpy copies a strided operand before its BLAS product
+    # anyway, and more slowly
+    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(np.pad(x, n - 1), n))
+
+
 @lru_cache(maxsize=4)
 def _grid_table(cfg: SystemConfig, binw_s: float, n: int):
-    """(y_grid, v_grid, T): the grid's axes and its transmission at every
-    (y, v, bin offset -(n-1)..n-1), read-only.  T depends on the trace only
-    through its bin width and bin count, so one table serves every trace
-    of that shape."""
+    """(y_grid, v_grid, T, T @ W(1)): the grid's axes, its transmission at
+    every (y, v, bin offset -(n-1)..n-1) and the window sums of that
+    transmission for every t_c candidate, read-only.  They depend on the
+    trace only through its bin width and bin count, so one table serves
+    every trace of that shape."""
     # whole multiples of the step: y = 0 is exact, so a refinement started
     # there sits on the side bound, where it can hold y
     n_y = round(Y_HALFWIDTH_WAISTS / Y_STEP_WAISTS)
@@ -209,29 +220,30 @@ def _grid_table(cfg: SystemConfig, binw_s: float, n: int):
     v_grid = np.arange(v_lo, v_hi + 1e-9, v_step)
     offsets = np.arange(1 - n, n) * binw_s
     T = _transmission(cfg, offsets, y_grid[:, None, None], v_grid[None, :, None], 0.0)
-    for a in (y_grid, v_grid, T):
+    T_sums = T @ _window(np.ones(n))
+    for a in (y_grid, v_grid, T, T_sums):
         a.flags.writeable = False
-    return y_grid, v_grid, T
+    return y_grid, v_grid, T, T_sums
 
 
 def _coarse_grid(cfg, t, k, flux0_cps, background_cps, binw_s):
     """(y_grid, v_grid, tc_grid, grid log-likelihood of shape (y, v, t_c)).
 
     Candidate c, t_c = t[c], puts bin j at t_j - t_c = (j - c) binw_s, so the
-    rates are those of `_grid_table`'s offsets and, with W(x)[m, c] =
-    x[m + c - (n-1)] (zero outside x), candidate c scores
-    sum_m ln lam[m] W(k)[m, c] - lam[m] W(1)[m, c].
+    rates are those of `_grid_table`'s offsets and, with W(x) of `_window`,
+    candidate c scores sum_m ln lam[m] W(k)[m, c] - lam[m] W(1)[m, c].  Every
+    column of W(1) sums to n, so the second term is flux0 bw (T @ W(1))[c]
+    + B bw n, from the table's cached window sums: one product per fit.
     """
     n = len(t)
-    y_grid, v_grid, T = _grid_table(cfg, binw_s, n)
+    y_grid, v_grid, T, T_sums = _grid_table(cfg, binw_s, n)
     lam = (flux0_cps * T + background_cps) * binw_s  # `_bin_rates`' arithmetic
-
-    def window(x):
-        # contiguous: numpy copies a strided operand before its BLAS product
-        # anyway, and more slowly
-        return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(np.pad(x, n - 1), n))
-
-    return y_grid, v_grid, t, np.log(lam) @ window(k) - lam @ window(np.ones(n))
+    grid_ll = np.log(lam) @ _window(k)
+    # subtract in place, after the product: computing the sums first and
+    # subtracting into a new array made the grid about twice as slow
+    # (reference trace, 2-core guest)
+    grid_ll -= flux0_cps * binw_s * T_sums + background_cps * binw_s * n
+    return y_grid, v_grid, t, grid_ll
 
 
 def fit_transit(

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: determinism, formats, exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -21,9 +22,13 @@ from cavity_transit import (
     ModePoint,
     Rates,
     SystemConfig,
+    Trajectory,
+    expected_trace,
     mode_amplitude,
+    sample_counts,
     transmission_vs_coupling,
 )
+from cavity_transit import cli
 from cavity_transit.cli import main
 from cavity_transit.config import (
     RunConfig,
@@ -32,7 +37,7 @@ from cavity_transit.config import (
     load_run_config,
     system_config,
 )
-from cavity_transit.fileio import read_trace_csv
+from cavity_transit.fileio import read_trace_csv, write_trace_csv
 
 
 def run(*argv):
@@ -432,6 +437,67 @@ def test_cli_import_loads_no_scipy():
     code = f"import sys; sys.path.insert(0, {src!r}); import cavity_transit.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_main_builds_its_parsers_once_per_process(tmp_path, monkeypatch):
+    # the parser is built on the first call and every later call reuses it
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert run("transit", "--y", 0, "--v", 0.42, "--out", tmp_path / "a.csv") == 0
+    first = len(built)
+    assert first > 0
+    assert run("ensemble", "--n", 10, "--out", tmp_path / "e.csv") == 0
+    assert len(built) == first
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built by the first `main` call, not by the import
+    src = str(Path(cli.__file__).parent.parent)
+    code = (
+        f"import argparse, sys; sys.path.insert(0, {src!r}); built = []; init = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *args, **kwargs):\n    built.append(self)\n    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "import cavity_transit.cli as cli\n"
+        "print(len(built), cli.build_parser.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["0", "0"]
+
+
+def test_reused_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # a refused command line, two help texts and a seeded transit leave
+    # nothing behind: a later transit without flags gets every default
+    with pytest.raises(SystemExit) as refused:
+        run("transit", "--y", 0, "--v", 0.4, "--bogus", 1, "--out", tmp_path / "bad.csv")
+    assert refused.value.code == 2
+    assert not (tmp_path / "bad.csv").exists()
+    helps = []
+    for _ in range(2):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as shown:
+            run("--help")
+        assert shown.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "transit" in helps[0]
+    seeded, unseeded = tmp_path / "seeded.csv", tmp_path / "unseeded.csv"
+    flags = ("--tilt-deg", 30, "--background-cps", 500, "--tc", 1e-4, "--z", 50)
+    assert run("transit", "--y", -16.3, "--v", 0.39, "--seed=3", *flags, "--out", seeded) == 0
+    assert run("transit", "--y", -16.3, "--v", 0.39, "--out", unseeded) == 0
+    rc = RunConfig()
+    det = detector_config(rc)
+    trace = expected_trace(system_config(rc), Trajectory(-16.3, 0.39), det)
+    write_trace_csv(tmp_path / "in_process.csv", sample_counts(trace, det, 0))
+    assert unseeded.read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+    assert seeded.read_bytes() != unseeded.read_bytes()
 
 
 def test_no_transit_trace_is_validation_error(tmp_path, capsys):

@@ -43,6 +43,7 @@ from cavity_transit.reconstruct import (
     _local_model,
     _newton_step,
     _poisson_loglik,
+    _transmission,
     minimize,
 )
 
@@ -275,7 +276,9 @@ def empty_grid_cache():
 def test_grid_table_cache_is_keyed_on_config_bin_width_and_bin_count(empty_grid_cache):
     # back to back, each (config, bin width, bin count) must get its own
     # table: every grid equals, bit for bit, the one scored from a direct
-    # rate broadcast; the fifth key evicts the least recently used table
+    # rate broadcast and direct window sums T @ W(1) of the transmission,
+    # and the cached sums equal those direct ones; the fifth key evicts the
+    # least recently used table
     det_fine = DetectorConfig(bin_width_us=8.0, window_us=(-200.0, 200.0))
     calls = [
         (CFG, DET),
@@ -286,25 +289,31 @@ def test_grid_table_cache_is_keyed_on_config_bin_width_and_bin_count(empty_grid_
         (CFG, DetectorConfig(bin_width_us=8.0, window_us=(-160.0, 160.0))),
         (CFG_UNTILTED, DET),
     ]
-    tables = []
+    tables, sums = [], []
     for cfg, det in calls:
         trace = sample_counts(expected_trace(cfg, Trajectory(-16.3, 0.39), det), det, 0)
         k = trace.counts.astype(float)
         n = len(trace)
         binw_s = float(np.median(np.diff(trace.t)))
         y_grid, v_grid, tc_grid, grid_ll = _coarse_grid(cfg, trace.t, k, det.flux0_cps, 0.0, binw_s)
-        lam = _bin_rates(
-            cfg, np.arange(1 - n, n) * binw_s, y_grid[:, None, None], v_grid[None, :, None], 0.0, det.flux0_cps, 0.0, binw_s
-        )
+        offsets = np.arange(1 - n, n) * binw_s
+        lam = _bin_rates(cfg, offsets, y_grid[:, None, None], v_grid[None, :, None], 0.0, det.flux0_cps, 0.0, binw_s)
         window = np.lib.stride_tricks.sliding_window_view
-        direct = np.log(lam) @ window(np.pad(k, n - 1), n) - lam @ window(np.pad(np.ones(n), n - 1), n)
+        T_sums = _transmission(cfg, offsets, y_grid[:, None, None], v_grid[None, :, None], 0.0) @ window(
+            np.pad(np.ones(n), n - 1), n
+        )
+        direct = np.log(lam) @ window(np.pad(k, n - 1), n) - (det.flux0_cps * binw_s * T_sums + 0.0 * binw_s * n)
         assert np.array_equal(grid_ll, direct)
-        tables.append(_grid_table(cfg, binw_s, n)[2])
-    assert tables[4] is tables[0]
+        table = _grid_table(cfg, binw_s, n)
+        assert np.array_equal(table[3], T_sums)
+        tables.append(table[2])
+        sums.append(table[3])
+    assert tables[4] is tables[0] and sums[4] is sums[0]
     assert tables[6] is not tables[1] and np.array_equal(tables[6], tables[1])
-    assert len({id(T) for T in tables}) == 6
+    assert sums[6] is not sums[1] and np.array_equal(sums[6], sums[1])
+    assert len({id(T) for T in tables}) == len({id(S) for S in sums}) == 6
     assert _grid_table.cache_info().currsize == 4
-    for T in tables:
+    for T in tables + sums:
         assert not T.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             T[0, 0, 0] = 0.0
