@@ -3,29 +3,32 @@
 output files whose bytes differ.
 
 Each tree's commands run in one fresh interpreter that imports
-`cavity_transit` from that tree alone: mode-image, position, frequency and
-fixed-coupling scans, degeneracy, ensemble, thermometry from an ensemble
-and from fits, 12 transits with background, a single fit and a batch fit.
-One transit reads a config file (`run.cfg`: a seed and a tilt), overrides a
-key by flag and dumps its effective configuration to `dump.cfg`, which is
-compared like its trace.  Fifteen bad-input commands follow: a one-sample
-and a reversed fixed-coupling scan, a fit of a malformed trace, a fit of a
-good trace with a zero empty-cavity rate, thermometry over a fit directory
-whose one fit JSON lacks `v_mps`, two transits that argparse refuses (one
-with a non-numeric value and one with an unknown flag), a position scan at
-y = NaN, a detuning scan at x = NaN, fixed-coupling scans at g = NaN and
-g = inf, and mode images with a NaN or negative extent and with 0 and 1
-samples.  Last come the top-level `--help` and `transit --help`.  The exit
-code of every command (the code of a SystemExit, or 1 for an exception the
-CLI does not catch) is written to `exit_codes.txt`, whatever it printed to
-stderr to `stderr.txt` and to stdout (the help texts) to `stdout.txt`, with
-the tree's `src` path replaced by `<src>` so that the same warning from two
-trees reads the same.  These files are compared like any other output, and
-their differing lines are printed.  For a differing CSV with the same row
-count, the number of differing rows and the largest relative difference of
-its numeric fields are printed too; for a differing JSON file with the same
-keys (nested keys joined by dots), the differing keys and the largest
-relative difference of their values (inf where a value is not a number).
+`cavity_transit` from that tree alone: mode images (the default TEM10 and
+a 37 x 37 TEM21 at 30 degrees), position, frequency and fixed-coupling
+scans, degeneracy, ensembles with and without timing jitter, thermometry
+from each ensemble and from fits, 12 transits with background, a single
+fit and a batch fit.  One transit reads a config file (`run.cfg`: a seed
+and a tilt), overrides a key by flag and dumps its effective configuration
+to `dump.cfg`, which is compared like its trace.  Sixteen bad-input
+commands follow: a one-sample and a reversed fixed-coupling scan, a fit of
+a malformed trace, a fit of a good trace with a zero empty-cavity rate,
+thermometry over a fit directory whose one fit JSON lacks `v_mps` and over
+an ensemble with one infinite arrival time, two transits that argparse
+refuses (one with a non-numeric value and one with an unknown flag), a
+position scan at y = NaN, a detuning scan at x = NaN, fixed-coupling scans
+at g = NaN and g = inf, and mode images with a NaN or negative extent and
+with 0 and 1 samples.  Last come the top-level `--help` and
+`transit --help`.  The exit code of every command (the code of a SystemExit, or 1
+for an exception the CLI does not catch) is written to `exit_codes.txt`,
+whatever it printed to stderr to `stderr.txt` and to stdout (the help
+texts) to `stdout.txt`, with the tree's `src` path replaced by `<src>` so
+that the same warning from two trees reads the same.  These files are
+compared like any other output, and their differing lines are printed.
+For a differing CSV with the same row count, the number of differing rows
+and the largest relative difference of its numeric fields are printed too;
+for a differing JSON file with the same keys (nested keys joined by dots),
+the differing keys and the largest relative difference of their values
+(inf where a value is not a number).
 
 Each interpreter runs the command list twice, into a `first` and a `second`
 directory, so that the second pass runs on whatever the first left in the
@@ -56,6 +59,10 @@ BACKGROUND = "--background-cps=200000.0"
 
 COMMANDS = [
     ["mode-image", "--out=mode_image.csv"],
+    [
+        "mode-image", "--mode-m=2", "--mode-n=1", "--tilt-deg=30", "--samples=37", "--extent-um=40",
+        "--out=mode_image_tem21.csv",
+    ],
     ["scan", "--axis=pos", "--y=0", "--out=scan_pos_y0.csv"],
     ["scan", "--axis=pos", "--y=-16.3", "--out=scan_pos_y-16.3.csv"],
     ["scan", "--axis=freq", "--out=scan_freq_node.csv"],
@@ -72,6 +79,8 @@ COMMANDS = [
     ["degeneracy", "--y=0", "--v=0.42", "--z=50", "--out=degeneracy_y0.json"],
     ["ensemble", "--n=2000", "--seed=5", "--out=ensemble.csv"],
     ["thermometry", "--ensemble=ensemble.csv", "--out=temperature_ensemble.json"],
+    ["ensemble", "--n=5000", "--timing-jitter-ms=0.05", "--out=ensemble_jitter.csv"],
+    ["thermometry", "--ensemble=ensemble_jitter.csv", "--out=temperature_ensemble_jitter.json"],
     *[
         [
             "transit", f"--y={-20.0 + 3.5 * i!r}", f"--v={0.36 + 0.01 * i!r}",
@@ -92,6 +101,7 @@ COMMANDS = [
     ["fit", "--trace=malformed_trace.csv", "--out=bad_fit.json"],
     ["fit", "--trace=traces/release_00.csv", "--flux0-known=0", "--out=bad_fit_flux0.json"],
     ["thermometry", "--fits=fits_missing_key", "--out=bad_temperature.json"],
+    ["thermometry", "--ensemble=nonfinite_ensemble.csv", "--out=bad_temperature_inf.json"],
     ["transit", "--y=0", "--v=0.4", "--tilt-deg=abc", "--out=bad_transit_tilt.csv"],
     ["transit", "--y=0", "--v=0.4", "--bogus=1", "--out=bad_transit_flag.csv"],
     ["scan", "--axis=pos", "--y=nan", "--out=bad_scan_pos_y_nan.csv"],
@@ -115,6 +125,10 @@ FIT_MISSING_KEY = (
     '{"y_off_um": 1.0, "t_c_s": 0.0, "sigma_y_um": 0.1, "sigma_v_mps": 0.005, "sigma_tc_s": 1e-06,'
     ' "log_lik": -100.0, "mirror_log_lik": -150.0, "converged": true, "n_evals": 1}\n'
 )
+# twelve ensemble records, the sixth with an infinite arrival time
+NONFINITE_ENSEMBLE = "v0_mps,t_arr_ms,v_arr_mps\n" + "".join(
+    f"{0.01 * i!r},{'inf' if i == 5 else repr(30.0 + i)},{0.31 + 0.001 * i!r}\n" for i in range(12)
+)
 
 # Runs inside the fresh interpreter: argv is (src, outdir).  Each pass writes
 # its inputs and outputs into its own subdirectory of outdir.
@@ -135,6 +149,8 @@ def run_pass(passdir):
         f.write(FIT_MISSING_KEY)
     with open("run.cfg", "w") as f:
         f.write(RUN_CONFIG)
+    with open("nonfinite_ensemble.csv", "w") as f:
+        f.write(NONFINITE_ENSEMBLE)
     codes, errs, outs = [], [], []
     for argv in COMMANDS:
         err, out = io.StringIO(), io.StringIO()
@@ -172,7 +188,8 @@ def run_tree(src: Path, outdir: Path) -> None:
     outdir.mkdir(parents=True)
     code = (
         f"COMMANDS = {COMMANDS!r}\nMALFORMED_TRACE = {MALFORMED_TRACE!r}\n"
-        f"FIT_MISSING_KEY = {FIT_MISSING_KEY!r}\nRUN_CONFIG = {RUN_CONFIG!r}\nPASSES = {PASSES!r}\n" + DRIVER
+        f"FIT_MISSING_KEY = {FIT_MISSING_KEY!r}\nRUN_CONFIG = {RUN_CONFIG!r}\n"
+        f"NONFINITE_ENSEMBLE = {NONFINITE_ENSEMBLE!r}\nPASSES = {PASSES!r}\n" + DRIVER
     )
     subprocess.run([sys.executable, "-c", code, str(src), str(outdir)], check=True)
 

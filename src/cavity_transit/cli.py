@@ -82,15 +82,8 @@ def cmd_mode_image(args, rc: RunConfig) -> int:
     intensity = mode_amplitude(cfg.mode, cfg.geometry, mp) ** 2
     out_csv = _out_path(rc, "mode_image.csv")
     fileio.write_mode_image_csv(out_csv, x, y, intensity)
-    heatmap_svg(
-        out_csv.with_suffix(".svg"),
-        x,
-        y,
-        intensity,
-        xlabel="x (um)",
-        ylabel="y (um)",
-        title=f"|psi|^2 TEM{cfg.mode.m}{cfg.mode.n} tilt {cfg.geometry.tilt_deg:g} deg",
-    )
+    title = f"|psi|^2 TEM{cfg.mode.m}{cfg.mode.n} tilt {cfg.geometry.tilt_deg:g} deg"
+    heatmap_svg(out_csv.with_suffix(".svg"), x, y, intensity, "x (um)", "y (um)", title)
     return EXIT_OK
 
 

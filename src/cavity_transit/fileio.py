@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, fields
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -18,23 +20,26 @@ import numpy as np
 from .detector import TransitTrace, _time_axis_fault
 from .kinematics import EnsembleRecord
 from .reconstruct import FitResult
+from .svgplot import _grid
 from .thermometry import TemperatureEstimate
 
 _TRACE_HEADER = "t_s,expected_T,counts"
 _ENSEMBLE_HEADER = "v0_mps,t_arr_ms,v_arr_mps"
+_WRITE_BLOCK = 4096  # rows formatted per write: no list or string of a whole file is held
 
 
 class CsvFormatError(ValueError):
     """Malformed CSV input; the message carries the offending line number."""
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
-def _write_csv(path, header: str, rows) -> None:
-    """Write the header line and one line per formatted row."""
-    Path(path).write_text("\n".join([header, *rows]) + "\n")
+def _write_csv(path, header: str, row_format: str, rows) -> None:
+    """Write the header line and then each row tuple formatted by
+    row_format, a `%` format ending in a newline, a block at a time."""
+    rows = iter(rows)
+    with Path(path).open("w") as f:
+        f.write(header + "\n")
+        while block := "".join(map(row_format.__mod__, islice(rows, _WRITE_BLOCK))):
+            f.write(block)
 
 
 def _read_csv(path, header: str, parse_row):
@@ -50,10 +55,11 @@ def _read_csv(path, header: str, parse_row):
         if f.readline().strip() != header:
             raise CsvFormatError(f"{path}:1: expected header {header!r}")
         for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
             parts = line.rstrip("\n").split(",")
             if len(parts) != n_fields:
+                # a blank line splits into one field, and every header has more
+                if not line.strip():
+                    continue
                 raise CsvFormatError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
             try:
                 yield lineno, parse_row(parts)
@@ -67,15 +73,13 @@ def _write_json(path, obj) -> None:
 
 def write_scan_csv(path, axis_name: str, axis_values, transmissions) -> None:
     """Scan output: header `x_um,T` or `delta_pa_mhz,T`, one row per sample."""
-    rows = (f"{_fmt(a)},{_fmt(T)}" for a, T in zip(axis_values, transmissions))
-    _write_csv(path, f"{axis_name},T", rows)
+    _write_csv(path, f"{axis_name},T", "%.17g,%.17g\n", zip(axis_values, transmissions))
 
 
 def write_trace_csv(path, trace: TransitTrace) -> None:
     """Trace format `t_s,expected_T,counts`; counts column empty until sampled."""
     counts = [""] * len(trace) if trace.counts is None else map(int, trace.counts)
-    rows = (f"{_fmt(t)},{_fmt(T)},{k}" for t, T, k in zip(trace.t, trace.expected_T, counts))
-    _write_csv(path, _TRACE_HEADER, rows)
+    _write_csv(path, _TRACE_HEADER, "%.17g,%.17g,%s\n", zip(trace.t, trace.expected_T, counts))
 
 
 def _trace_row(parts):
@@ -108,17 +112,22 @@ def read_trace_csv(path) -> TransitTrace:
 
 
 def write_ensemble_csv(path, records) -> None:
-    """Ensemble format `v0_mps,t_arr_ms,v_arr_mps`."""
-    rows = (f"{_fmt(r.v0_mps)},{_fmt(r.t_arr_ms)},{_fmt(r.v_arr_mps)}" for r in records)
-    _write_csv(path, _ENSEMBLE_HEADER, rows)
-
-
-def _ensemble_row(parts):
-    return EnsembleRecord(float(parts[0]), float(parts[1]), float(parts[2]))
+    """Ensemble format `v0_mps,t_arr_ms,v_arr_mps`, one row per EnsembleRecord."""
+    _write_csv(path, _ENSEMBLE_HEADER, "%.17g,%.17g,%.17g\n", records)
 
 
 def read_ensemble_csv(path) -> list[EnsembleRecord]:
-    return [record for _, record in _read_csv(path, _ENSEMBLE_HEADER, _ensemble_row)]
+    """Read an ensemble; every value must be finite."""
+    rows = _read_csv(path, _ENSEMBLE_HEADER, lambda parts: EnsembleRecord._make(map(float, parts)))
+    records = [record for _, record in rows]
+    # one check per column of parsed values; the line is found again only on a fault
+    for field, name in enumerate(EnsembleRecord._fields):
+        bad = ~np.isfinite(np.fromiter(map(itemgetter(field), records), float, len(records)))
+        if bad.any():
+            i = int(bad.argmax())
+            lineno = next(islice(_read_csv(path, _ENSEMBLE_HEADER, tuple), i, None))[0]
+            raise CsvFormatError(f"{path}:{lineno}: {name} {records[i][field]!r} is not finite")
+    return records
 
 
 def write_fit_json(path, result: FitResult) -> None:
@@ -152,10 +161,12 @@ def write_degeneracy_json(path, reports) -> None:
 
 
 def write_mode_image_csv(path, x_um, y_um, intensity) -> None:
-    """Mode image grid: `x_um,y_um,intensity`, row-major over y then x."""
-    rows = (
-        f"{_fmt(xv)},{_fmt(yv)},{_fmt(intensity[j, i])}"
-        for j, yv in enumerate(y_um)
-        for i, xv in enumerate(x_um)
+    """Mode image grid: `x_um,y_um,intensity`, row-major over y then x.
+    The intensity's shape must be (len(y_um), len(x_um))."""
+    x, y, z = _grid(x_um, y_um, intensity)
+    # each x and y is formatted once and copied into its rows by %s
+    x_fields = ["%.17g" % v for v in x.tolist()]
+    rows = chain.from_iterable(
+        zip(x_fields, repeat("%.17g" % yv), z_row.tolist()) for yv, z_row in zip(y.tolist(), z)
     )
-    _write_csv(path, "x_um,y_um,intensity", rows)
+    _write_csv(path, "x_um,y_um,intensity", "%s,%s,%.17g\n", rows)

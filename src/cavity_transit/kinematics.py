@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 K_BOLTZMANN = 1.380649e-23  # J/K
+_RECORD_BLOCK = 4096  # records built per block by sample_ensemble
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,9 @@ def sample_ensemble(
     t_arr, v_arr = arrival_from_initial(fc, v0)
     if timing_jitter_s > 0:
         t_arr = t_arr + rng.normal(0.0, timing_jitter_s, n)
-    return [
-        EnsembleRecord(float(v), float(t * 1e3), float(va))
-        for v, t, va in zip(v0, t_arr, v_arr)
-    ]
+    records = []
+    for s in range(0, n, _RECORD_BLOCK):  # Python floats a block at a time, no whole list
+        block = slice(s, s + _RECORD_BLOCK)
+        columns = (v0[block].tolist(), (t_arr[block] * 1e3).tolist(), v_arr[block].tolist())
+        records += map(EnsembleRecord._make, zip(*columns))
+    return records

@@ -53,7 +53,8 @@ def estimate_temperature(records, fc: FallConfig, atom_mass_kg: float) -> Temper
 
     Each record is inverted to v0 = v_arr - g t_arr; the estimate is
     T = m var(v0) / k_B with the unbiased sample variance, and its
-    statistical uncertainty is T sqrt(2/(n-1)).
+    statistical uncertainty is T sqrt(2/(n-1)).  Every arrival time and
+    speed must be finite.
     """
     if not 0 < atom_mass_kg < math.inf:
         raise ValueError(f"atom_mass_kg must be positive and finite, got {atom_mass_kg}")
@@ -61,8 +62,11 @@ def estimate_temperature(records, fc: FallConfig, atom_mass_kg: float) -> Temper
     if n < 10:
         raise ValueError(f"need at least 10 records, got {n}")
     v_arr = np.array([r.v_arr_mps for r in records])
-    t_arr_s = np.array([r.t_arr_ms for r in records]) * 1e-3
-    v0 = v_arr - fc.gravity_mps2 * t_arr_s
+    t_arr_ms = np.array([r.t_arr_ms for r in records])
+    for name, values in (("v_arr_mps", v_arr), ("t_arr_ms", t_arr_ms)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
+    v0 = v_arr - fc.gravity_mps2 * (t_arr_ms * 1e-3)
     var = float(np.var(v0, ddof=1))
     if var == 0.0 or np.ptp(v0) == 0.0:
         raise ValueError("zero velocity variance: temperature not positive")

@@ -267,6 +267,18 @@ def test_ensemble_thermometry_pipeline(tmp_path):
     assert est["n_used"] == 2000
 
 
+def test_thermometry_rejects_a_non_finite_ensemble_value(tmp_path, capsys):
+    ens = tmp_path / "ens.csv"
+    assert run("ensemble", "--n", 50, "--seed", 5, "--out", ens) == 0
+    lines = ens.read_text().splitlines()
+    lines[3] = lines[3].split(",")[0] + ",inf," + lines[3].split(",")[2]
+    ens.write_text("\n".join(lines) + "\n")
+    temp = tmp_path / "temp.json"
+    assert run("thermometry", "--ensemble", ens, "--out", temp) == 2
+    assert f"error: {ens}:4: t_arr_ms inf is not finite" in capsys.readouterr().err
+    assert not temp.exists()
+
+
 def test_thermometry_from_fit_directory(tmp_path):
     from cavity_transit.fileio import write_fit_json
     from cavity_transit import FallConfig, arrival_from_initial

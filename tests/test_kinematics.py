@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavity_transit import (
+    EnsembleRecord,
     FallConfig,
     Trajectory,
     arrival_from_initial,
     sample_ensemble,
     x_at,
 )
+from cavity_transit import kinematics
 from cavity_transit.config import CESIUM_MASS_KG
+from cavity_transit.kinematics import K_BOLTZMANN
 
 FC = FallConfig()
 
@@ -135,6 +138,26 @@ def test_timing_jitter_perturbs_only_arrival_times():
     assert np.std(dt) == pytest.approx(2.0, rel=0.2)
     # zero jitter reproduces the clean path exactly
     assert sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 500, seed=7, timing_jitter_s=0.0) == clean
+
+
+def _reference_ensemble(temperature_k, n, seed, timing_jitter_s=0.0):
+    """The per-atom record loop that sample_ensemble's column blocks replaced."""
+    rng = np.random.default_rng(seed)
+    v0 = rng.normal(0.0, math.sqrt(K_BOLTZMANN * temperature_k / CESIUM_MASS_KG), n)
+    t_arr, v_arr = arrival_from_initial(FC, v0)
+    if timing_jitter_s > 0:
+        t_arr = t_arr + rng.normal(0.0, timing_jitter_s, n)
+    return [EnsembleRecord(float(v), float(t * 1e3), float(va)) for v, t, va in zip(v0, t_arr, v_arr)]
+
+
+@pytest.mark.parametrize("timing_jitter_s", [0.0, 2e-3])
+def test_ensemble_blocks_match_the_per_atom_reference(monkeypatch, timing_jitter_s):
+    # blocks of 4 atoms: 11 atoms end in a partial block
+    monkeypatch.setattr(kinematics, "_RECORD_BLOCK", 4)
+    for n in (1, 4, 11):
+        records = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, n, seed=n, timing_jitter_s=timing_jitter_s)
+        assert records == _reference_ensemble(186e-6, n, n, timing_jitter_s)
+        assert all(type(r) is EnsembleRecord and all(type(v) is float for v in r) for r in records)
 
 
 def test_timing_jitter_inflates_inferred_temperature():

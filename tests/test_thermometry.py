@@ -130,6 +130,15 @@ def test_estimate_rejects_an_atom_mass_that_is_not_positive_and_finite(mass_kg):
         estimate_temperature(records, FC, mass_kg)
 
 
+@pytest.mark.parametrize("field", ["t_arr_ms", "v_arr_mps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_estimate_rejects_a_non_finite_record_by_field(field, value):
+    records = [_record(v0) for v0 in np.linspace(-0.2, 0.2, 50)]
+    records[17] = records[17]._replace(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        estimate_temperature(records, FC, CESIUM_MASS_KG)
+
+
 def test_records_from_fits_pairs_speed_with_arrival_time():
     t_arr, v_arr = arrival_from_initial(FC, 0.12)
     fit = FitResult(
