@@ -508,54 +508,43 @@ def minimize(cfg, t, k, thetas, sides, flux0_cps, background_cps, binw_s) -> Ref
     side = np.asarray(sides, dtype=float)
     n_runs = len(theta)
     t, k, flux0_cps, binw_s = (np.asarray(x, dtype=float) for x in (t, k, flux0_cps, binw_s))
-    # filled in, row by row, as the runs end
-    ends = Refinement(
-        np.empty_like(theta), np.empty(n_runs), np.empty((n_runs, 3, 3)), np.empty_like(theta),
-        np.zeros(n_runs, dtype=bool), np.zeros(n_runs, dtype=int),
-    )
-    # the live runs, one row each: the run's index, its side, its trace, its
-    # point and local model, step, predicted gain, steps taken and hypotheses
-    # evaluated
-    run = np.arange(n_runs)
+    # one row per run, for the whole call: its point and local model, step,
+    # predicted gain, steps taken, hypotheses evaluated and whether it
+    # converged; the runs still going are the rows in live
     ll, score, observed, expected, h = _local_model(cfg, t, k, flux0_cps, background_cps, binw_s, theta, side)
     step, gain = np.zeros_like(theta), np.zeros(n_runs)
     n_steps, nfev = np.zeros(n_runs, dtype=int), np.full(n_runs, 10)
-    moved = np.ones(n_runs, dtype=bool)  # the runs with a new local model
+    converged = np.zeros(n_runs, dtype=bool)
+    live = np.arange(n_runs)
+    # the live runs' inputs, gathered again only when live shrinks
+    live_t, live_k, live_flux0, live_binw, live_side = t, k, flux0_cps, binw_s, side
+    moved = np.ones(n_runs, dtype=bool)  # the live runs with a new local model
     while True:
         # a run at y = 0 holds y while the score points across the bound
-        newton = _newton_step(observed, expected, score, (theta[:, 0] == 0) & ~(score[:, 0] > 0))
-        step = np.where(moved[:, None], newton, step / 2.0)
-        gain = np.where(moved, 0.5 * (score * newton).sum(axis=-1), gain / 2.0)
-        capped = moved & (n_steps >= MAX_REFINE_STEPS)
-        done = capped | ~(gain >= REFINE_TOL)
+        held = (theta[live, 0] == 0) & ~(score[live, 0] > 0)
+        newton = _newton_step(observed[live], expected[live], score[live], held)
+        step[live] = np.where(moved[:, None], newton, step[live] / 2.0)
+        gain[live] = np.where(moved, 0.5 * (score[live] * newton).sum(axis=-1), gain[live] / 2.0)
+        capped = moved & (n_steps[live] >= MAX_REFINE_STEPS)
+        done = capped | ~(gain[live] >= REFINE_TOL)
         if done.any():
-            ended = run[done]
-            for end, live in zip((ends.x, ends.ll, ends.expected, ends.h, ends.run_nfev), (theta, ll, expected, h, nfev)):
-                end[ended] = live[done]
-            ends.converged[ended] = ~capped[done]
-            going = ~done
-            run, side, t, k, flux0_cps, binw_s, theta, ll, score, observed, expected, h, step, gain, n_steps, nfev = (
-                live[going]
-                for live in (
-                    run, side, t, k, flux0_cps, binw_s, theta, ll, score, observed, expected, h, step, gain, n_steps, nfev
-                )
-            )
-        if not run.size:
-            return ends
-        trial = theta + step * h
+            converged[live[done]] = ~capped[done]
+            live = live[~done]
+            live_t, live_k, live_flux0, live_binw, live_side = (x[live] for x in (t, k, flux0_cps, binw_s, side))
+        if not live.size:
+            return Refinement(theta, ll, expected, h, converged, nfev)
+        trial = theta[live] + step[live] * h[live]
         # y clipped to the side; unlike np.maximum, where keeps a -0.0
-        bound = side * trial[:, 0]
-        trial[:, 0] = side * np.where(0.0 > bound, 0.0, bound)
-        at_trial = _local_model(cfg, t, k, flux0_cps, background_cps, binw_s, trial, side)
-        nfev += 10
-        moved = (trial[:, 1] > 0) & (at_trial[0] >= ll)
+        bound = live_side * trial[:, 0]
+        trial[:, 0] = live_side * np.where(0.0 > bound, 0.0, bound)
+        at_trial = _local_model(cfg, live_t, live_k, live_flux0, background_cps, live_binw, trial, live_side)
+        nfev[live] += 10
+        moved = (trial[:, 1] > 0) & (at_trial[0] >= ll[live])
         # an accepted run takes its trial's point and local model
-        theta = np.where(moved[:, None], trial, theta)
-        ll, score, observed, expected, h = (
-            np.where(moved.reshape(-1, *[1] * (new.ndim - 1)), new, old)
-            for new, old in zip(at_trial, (ll, score, observed, expected, h))
-        )
-        n_steps += moved
+        accepted = live[moved]
+        for state, new in zip((theta, ll, score, observed, expected, h), (trial, *at_trial)):
+            state[accepted] = new[moved]
+        n_steps[accepted] += 1
 
 
 _TRANSFORMS = {

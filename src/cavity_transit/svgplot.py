@@ -21,6 +21,11 @@ def _grid(x, y, z):
     return x, y, z
 
 
+def _escape(text: str) -> str:
+    """text with &, < and > escaped, for an SVG text element."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def heatmap_svg(path, x, y, z, xlabel: str, ylabel: str, title: str = "") -> None:
     """Write a filled-cell heatmap of z[j, i] over (x[i], y[j]).
 
@@ -30,6 +35,7 @@ def heatmap_svg(path, x, y, z, xlabel: str, ylabel: str, title: str = "") -> Non
     x, y, z = _grid(x, y, z)
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")
+    xlabel, ylabel, title = (_escape(label) for label in (xlabel, ylabel, title))
     margin, plot = 60, 480
     width, height = plot + 2 * margin, plot + 2 * margin
     zmin, zmax = float(z.min()), float(z.max())

@@ -419,6 +419,14 @@ def test_thermometry_input_flags_conflict(tmp_path, capsys):
     assert "exactly one" in err
 
 
+def test_thermometry_rejects_a_fit_directory_without_fits(tmp_path, capsys):
+    (tmp_path / "fits").mkdir()
+    (tmp_path / "fits" / "trace.csv").write_text("")
+    assert run("thermometry", "--fits", tmp_path / "fits", "--out", tmp_path / "t.json") == 2
+    assert capsys.readouterr().err == f"error: no fit JSON files found in {tmp_path / 'fits'}\n"
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_degeneracy_report_json(tmp_path):
     out = tmp_path / "deg.json"
     assert run("degeneracy", "--y", 10, "--v", 0.42, "--out", out) == 0
@@ -433,7 +441,7 @@ def test_fit_nonconvergence_exit_code(tmp_path, monkeypatch):
     import cavity_transit.cli as cli
 
     stuck = FitResult(0.0, 0.42, 0.0, 1.0, 0.01, 1e-6, -1.0, -1.0, False, 99)
-    monkeypatch.setattr(cli, "fit_transit", lambda *a, **kw: stuck)
+    monkeypatch.setattr(cli, "fit_transits", lambda cfg, det, traces, **kw: [stuck for _ in traces])
     trace = tmp_path / "trace.csv"
     run("transit", "--y", 0, "--v", 0.42, "--out", trace)
     assert run("fit", "--trace", trace, "--out", tmp_path / "f.json") == 3

@@ -140,6 +140,8 @@ def test_trace_validation():
         TransitTrace(t=np.arange(3, dtype=float), expected_T=np.ones(2))
     with pytest.raises(ValueError):
         TransitTrace(t=np.arange(2, dtype=float), expected_T=np.ones(2), counts=np.array([1, -1]))
+    with pytest.raises(ValueError, match="counts array differs in length"):
+        TransitTrace(t=np.arange(3, dtype=float), expected_T=np.ones(3), counts=np.array([1, 2]))
 
 
 def test_degenerate_window():

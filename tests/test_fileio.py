@@ -28,6 +28,7 @@ from cavity_transit.config import (
     CESIUM_MASS_KG,
     ConfigError,
     RunConfig,
+    apply_overrides,
     dump_run_config,
     load_run_config,
 )
@@ -264,6 +265,8 @@ def test_config_rejects_bad_lines(tmp_path):
     path.write_text("seed = not_an_int\n")
     with pytest.raises(ConfigError, match="invalid value"):
         load_run_config(path)
+    with pytest.raises(ConfigError, match="unknown configuration key 'g0'"):
+        apply_overrides(RunConfig(), {"seed": 3, "g0": 23.9})
 
 
 def test_config_comments_and_blanks_ignored(tmp_path):
@@ -275,11 +278,15 @@ def test_config_comments_and_blanks_ignored(tmp_path):
 def test_heatmap_svg_is_wellformed(tmp_path):
     path = tmp_path / "map.svg"
     z = np.linspace(0, 1, 25).reshape(5, 5)
-    heatmap_svg(path, np.arange(5.0), np.arange(5.0), z, xlabel="x (um)", ylabel="y (um)")
-    root = ET.parse(path).getroot()
-    assert root.tag.endswith("svg")
-    rects = [e for e in root.iter() if e.tag.endswith("rect")]
-    assert len(rects) == 25 + 2  # cells + background + frame
+    # the labels are text, markup characters included
+    for xlabel, ylabel, title in (("x (um)", "y (um)", ""), ("x & y", "<T>", "a < b & c > d")):
+        heatmap_svg(path, np.arange(5.0), np.arange(5.0), z, xlabel=xlabel, ylabel=ylabel, title=title)
+        root = ET.parse(path).getroot()
+        assert root.tag.endswith("svg")
+        rects = [e for e in root.iter() if e.tag.endswith("rect")]
+        assert len(rects) == 25 + 2  # cells + background + frame
+        texts = [e.text for e in root.iter() if e.tag.endswith("text")]
+        assert texts[4:] == [xlabel, ylabel, *([title] if title else [])]
 
 
 def test_heatmap_svg_shape_check():

@@ -192,6 +192,23 @@ def test_fit_requires_enough_bins():
         fit_transit(CFG, DET, trace)
 
 
+def test_fit_rejects_trace_without_counts():
+    trace = expected_trace(CFG, Trajectory(-16.3, 0.39), DET)
+    assert trace.counts is None
+    with pytest.raises(ValueError, match="trace has no counts to fit"):
+        fit_transit(CFG, DET, trace)
+
+
+def test_flux_estimate_needs_an_empty_cavity_bin():
+    # a dip every fourth bin: the padded dip support covers the whole trace
+    from cavity_transit.reconstruct import estimate_flux0
+
+    counts = np.tile([0, 100, 100, 100], 10)
+    trace = TransitTrace(t=np.arange(40) * 1e-5, expected_T=np.ones(40), counts=counts)
+    with pytest.raises(NoTransitError, match="no empty-cavity bins"):
+        estimate_flux0(trace)
+
+
 def test_fit_rejects_dipless_trace():
     rng = np.random.default_rng(0)
     trace = TransitTrace(
@@ -383,6 +400,24 @@ def test_lockstep_runs_do_not_depend_on_their_batch(monkeypatch, cfg, det, truth
     assert batch.nfev == sum(single.nfev for single in singles)
     assert any(halved)
     assert batch.run_nfev[5] == 10 and batch.converged[5]
+
+
+def test_minimize_with_no_runs_returns_an_empty_refinement(monkeypatch):
+    # a loop that kept going with no live run would evaluate empty trials
+    # forever; the spy turns that into a failure
+    real, calls = reconstruct._local_model, []
+
+    def spy(*args):
+        calls.append(args)
+        assert len(calls) == 1, "minimize went on after every run had ended"
+        return real(*args)
+
+    monkeypatch.setattr(reconstruct, "_local_model", spy)
+    none = np.empty(0)
+    runs = minimize(CFG, np.empty((0, 50)), np.empty((0, 50)), np.empty((0, 3)), none, none, 0.0, none)
+    assert runs.x.shape == runs.h.shape == (0, 3) and runs.expected.shape == (0, 3, 3)
+    assert runs.ll.shape == runs.converged.shape == runs.run_nfev.shape == (0,)
+    assert runs.nfev == 0
 
 
 @pytest.mark.parametrize("flux0_cps", [None, DET.flux0_cps], ids=["measured-flux", "known-flux"])
