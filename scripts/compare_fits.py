@@ -10,8 +10,11 @@ that tree alone.  The transits are the Monte Carlo study of the test suite
 (10 um, 0.5 m/s) with the same background and t_c = 0.03 s, and at
 (3 um, 0.45 m/s) with 500 counts/s of background and t_c = 0.0123456 s;
 untilted TEM10 at (-10 um, 0.4 m/s); and TEM21 tilted by 30 degrees at
-(-17 um, 0.45 m/s).  A fit that raises ValueError (a dipless trace, say) is
-recorded as its error message.
+(-17 um, 0.45 m/s) and at (13.7 um, 0.58 m/s), the last with 2e5 counts/s
+of background and without.  The (13.7 um, 0.58 m/s) runs of one fit end in
+different local optima, so those two cases are the sharpest check of a
+change to the Newton engine.  A fit that raises ValueError (a dipless
+trace, say) is recorded as its error message.
 
 Printed: the number of fits that differ per case, the number that differ in
 each field, the largest |difference| of each field, and the lowest
@@ -65,6 +68,8 @@ CASES = [
     ("bg 500 (3, 0.45) t_c", TEM10, 45.0, 3.0, 0.45, 0.0123456, 500.0, 25),
     ("untilted (-10, 0.4)", TEM10, 0.0, -10.0, 0.4, 0.0, 0.0, 25),
     ("TEM21 30 deg (-17, 0.45)", (2, 1), 30.0, -17.0, 0.45, 0.0, 0.0, 25),
+    ("TEM21 30 deg (13.7, 0.58)", (2, 1), 30.0, 13.7, 0.58, 0.0, 0.0, 25),
+    ("TEM21 30 deg bg 2e5 (13.7, 0.58)", (2, 1), 30.0, 13.7, 0.58, 0.0, 2e5, 25),
 ]
 
 # Runs inside the fresh interpreter: argv is (src,); prints one JSON object:

@@ -11,10 +11,11 @@ says how decisively the mirror trajectory is excluded.
 The grid's t_c candidates are the bin centres, so on the uniform time axis
 the fitter requires, its transmission is evaluated once per (y_off, v, bin
 offset), cached per (configuration, bin width, bin count), and every
-candidate is scored on a window of that table.  The six Newton runs advance
-together, one rate call per iteration for every run still going.
-`fit_transits` fits many traces: each gets its own grid, and then the runs
-of all the traces of one bin count advance together in the same way.
+candidate is scored on a window of that table.  The Newton engine refines
+the coordinates of the `_COORDINATES` table, each with its step scale and
+bound; its six runs advance together, one rate call per iteration for every
+run still going.  `fit_transits` fits many traces: each gets its own grid,
+and then the runs of all the traces of one bin count advance together.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ V_GRID_MPS = (0.25, 0.65, 0.025)
 
 MAX_REFINE_STEPS = 50
 # Traces whose Newton runs share one `minimize` call, at most: a larger batch
-# is cut into chunks, so that the stacked local models (10 rate hypotheses
-# per run and bin, and their temporaries) stay a few MB for any directory.
+# is cut into chunks, so that the stacked local models (`_differences`' rate
+# hypotheses per run and bin, and their temporaries) stay a few MB for any directory.
 FIT_BATCH_TRACES = 32
 REFINE_TOL = 1e-9  # log-likelihood units a Newton step must be predicted to gain
 SIGN_RESOLVE_MARGIN = 10.0  # log-likelihood units by which the mirror must lose
@@ -49,29 +50,34 @@ DIP_DEPTH_MIN = 0.5  # fraction of baseline the smoothed minimum must fall below
 
 DEGENERACY_TOL = 1e-6  # sup-norm transmission difference of a degenerate transform
 
-# Finite-difference step of the local rate model, as a fraction of (w0,
-# speed, bin width); sigma moves by under 1e-6 relative from 1e-7 to 1e-4.
+# Finite-difference step of the local rate model, as a fraction of each
+# coordinate's step scale; sigma moves by under 1e-6 relative from 1e-7 to 1e-4.
 _INFO_STEP = 1e-5
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-# The local model's 10 hypotheses are theta + _OFFSETS * h: theta, theta +- h_i
-# and theta + h_i + h_j for each pair (i, j).
-_OFFSETS = np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3), [np.eye(3)[i] + np.eye(3)[j] for i, j in _PAIRS]])
+# The coordinates the Newton engine refines, one row each: the `_bin_rates`
+# argument it sets, its step scale (w0 pointing into the run's side, its own value
+# or the bin width) and its bound (held to the run's side of 0, positive, or none).
+_COORDINATES = (
+    ("y_um", "side w0", "side"),
+    ("v_mps", "value", "positive"),
+    ("t_c_s", "bin width", None),
+)
 
 
-def _difference_coefficients():
-    """(J, D2): the coefficients over the 10 hypothesis rates of their central
-    first differences (3, 10) and second differences (3, 3, 10)."""
-    rate = np.eye(len(_OFFSETS))
-    lam0, plus, minus = rate[0], rate[1:4], rate[4:7]
-    d2 = np.empty((3, 3, len(_OFFSETS)))
-    d2[[0, 1, 2], [0, 1, 2]] = plus - 2.0 * lam0 + minus
-    for p, (i, j) in enumerate(_PAIRS):
-        d2[i, j] = d2[j, i] = rate[7 + p] - plus[i] - plus[j] + lam0
-    return (plus - minus) / 2.0, d2
-
-
-_JAC, _D2 = _difference_coefficients()
-_Y_HELD = np.array([0.0, 1.0, 1.0])  # the coordinates a run holding y moves
+@lru_cache
+def _differences(p):
+    """(offsets, J, D2), read-only, of p coordinates: the n = 1 + 2p + p(p-1)/2
+    hypotheses theta + offsets * h (theta, theta +- h_i, theta + h_i + h_j for
+    i < j) and the coefficients of their rates' central first (p, n) and second (p, p, n) differences."""
+    eye, (i, j) = np.eye(p), np.triu_indices(p, 1)
+    offsets = np.concatenate([np.zeros((1, p)), eye, -eye, eye[i] + eye[j]])
+    rate = np.eye(len(offsets))
+    lam0, (plus, minus, pair) = rate[0], np.split(rate[1:], [p, 2 * p])
+    d2 = np.empty((p, p, len(offsets)))
+    d2[range(p), range(p)] = plus - 2.0 * lam0 + minus
+    d2[i, j] = d2[j, i] = pair - plus[i] - plus[j] + lam0
+    for a in (offsets, jac := (plus - minus) / 2.0, d2):
+        a.flags.writeable = False
+    return offsets, jac, d2
 
 
 class NoTransitError(ValueError):
@@ -151,9 +157,7 @@ def log_likelihood(cfg: SystemConfig, det: DetectorConfig, trace: TransitTrace, 
     if trace.counts is None:
         raise ValueError("trace has no counts to fit")
     binw_s = _trace_bin_width(trace)
-    lam = _bin_rates(
-        cfg, trace.t, p.y_off_um, p.v_mps, p.t_c_s, det.flux0_cps, det.background_cps, binw_s
-    )
+    lam = _bin_rates(cfg, trace.t, p.y_off_um, p.v_mps, p.t_c_s, det.flux0_cps, det.background_cps, binw_s)
     return float(_poisson_loglik(trace.counts, lam) - _ln_factorial_sum(trace.counts))
 
 
@@ -374,9 +378,7 @@ def _refine(cfg, background_cps, traces: list[_Starts]) -> list[FitResult]:
     column = lambda field: np.array([getattr(tr, field) for tr in traces])[of_run]
     sides = np.concatenate([tr.sides for tr in traces])
     starts = np.concatenate([tr.starts for tr in traces])
-    runs = minimize(
-        cfg, column("t"), column("k"), starts, sides, column("flux0_cps"), background_cps, column("binw_s")
-    )
+    runs = minimize(cfg, column("t"), column("k"), starts, sides, column("flux0_cps"), background_cps, column("binw_s"))
     fits = []
     for tr, stop in zip(traces, np.cumsum(n_runs)):
         rows = np.arange(stop - len(tr.sides), stop)
@@ -388,14 +390,11 @@ def _refine(cfg, background_cps, traces: list[_Starts]) -> list[FitResult]:
             diag = np.diag(np.linalg.inv(runs.expected[best]))
             sigma = np.where(diag > 0, np.abs(runs.h[best]) * np.sqrt(np.abs(diag)), np.nan)
         except np.linalg.LinAlgError:
-            sigma = np.full(3, np.nan)
+            sigma = np.full_like(runs.h[best], np.nan)
         ln_fact = _ln_factorial_sum(tr.k)
         fits.append(
             FitResult(
-                *(float(v) for v in runs.x[best]),
-                sigma_y_um=float(sigma[0]),
-                sigma_v_mps=float(sigma[1]),
-                sigma_tc_s=float(sigma[2]),
+                *map(float, (*runs.x[best], *sigma)),
                 log_lik=float(runs.ll[best] - ln_fact),
                 mirror_log_lik=float(runs.ll[mirror] - ln_fact),
                 converged=bool(runs.converged[best]),
@@ -406,33 +405,35 @@ def _refine(cfg, background_cps, traces: list[_Starts]) -> list[FitResult]:
 
 
 def _local_model(cfg, t, k, flux0_cps, background_cps, binw_s, theta, sides):
-    """(ll, score, observed, expected, h) of each row of theta = (y, v, t_c),
-    held to the side in sides: sum(k ln lam - lam), its gradient and the
-    observed and expected information, all per step h = _INFO_STEP * (side *
-    w0, v, bin width), and h.  The time axis t and counts k (one row per
-    row of theta, or one for all), the flux and the bin width (one per row,
-    or a scalar) are those of each row's trace.  One rate call covers, per
-    row, the 10 hypotheses theta, theta +- h_i and theta + h_i + h_j
-    (i < j), which give the rates' central first and second differences.
-    h_y points into the side, so mirror-image runs do the same arithmetic.
-    Each row's numbers do not depend on the other rows."""
+    """(ll, score, observed, expected, h) of each row of theta, a column per
+    `_COORDINATES` row, held to the side in sides: sum(k ln lam - lam), its
+    gradient and the observed and expected information, all per step h =
+    _INFO_STEP * (each coordinate's step scale), and h.  The time axis t and
+    counts k (one row per row of theta, or one for all), the flux and the
+    bin width (one per row, or a scalar) are those of each row's trace; a
+    flux coordinate replaces the flux.  One rate call covers the hypotheses
+    of `_differences` for every row.  A "side w0" step points into the side,
+    so mirror-image runs do the same arithmetic.  Rows are independent."""
+    offsets, jac_coef, d2_coef = _differences(len(_COORDINATES))
     h = np.empty_like(theta)
-    h[:, 0], h[:, 1], h[:, 2] = sides * cfg.geometry.w0_um, theta[:, 1], binw_s
+    for c, (_, scale, _) in enumerate(_COORDINATES):
+        h[:, c] = sides * cfg.geometry.w0_um if scale == "side w0" else theta[:, c] if scale == "value" else binw_s
     h *= _INFO_STEP
-    hyp = theta[:, None] + _OFFSETS * h[:, None]
-    flux0_cps, binw_s = (np.asarray(x)[..., None, None] for x in (flux0_cps, binw_s))
-    lam = _bin_rates(cfg, t[..., None, :], *hyp.transpose(2, 0, 1)[..., None], flux0_cps, background_cps, binw_s)
+    hyp = theta[:, None] + offsets * h[:, None]
+    rates = dict(zip(("flux0_cps", "binw_s"), (np.asarray(x)[..., None, None] for x in (flux0_cps, binw_s))))
+    rates.update((name, hyp[..., c, None]) for c, (name, _, _) in enumerate(_COORDINATES))
+    lam = _bin_rates(cfg, t[..., None, :], background_cps=background_cps, **rates)
     lam0 = lam[:, 0]
-    jac = _JAC @ lam
+    jac = jac_coef @ lam
     jac_t = np.swapaxes(jac, -1, -2)
     resid = k / lam0 - 1.0
     # the differences are linear in the rates, so their residual-weighted sums
-    # take one product of the 10 rates with the residual; every product is
+    # take one product of the hypotheses' rates with the residual; every product is
     # stacked per row, as one 2-D product over rows can round a row's sums
     # differently in different batches
     lam_resid = lam @ resid[..., None]
-    score = (_JAC @ lam_resid)[..., 0]
-    curvature = (_D2 @ lam_resid[:, None])[..., 0]
+    score = (jac_coef @ lam_resid)[..., 0]
+    curvature = (d2_coef @ lam_resid[:, None])[..., 0]
     observed = (jac * (k / lam0**2)[:, None]) @ jac_t - curvature
     return _poisson_loglik(k, lam0), score, observed, (jac / lam0[:, None]) @ jac_t, h
 
@@ -440,17 +441,17 @@ def _local_model(cfg, t, k, flux0_cps, background_cps, binw_s, theta, sides):
 def _newton_step(observed, expected, score, held):
     """Least-squares solutions of I step = score, one per row, with I the
     observed information where it is positive definite and the expected one
-    elsewhere.  A held row (a run holding y at y = 0) has the y row and
-    column of I zeroed, so y decouples with eigenvalue 0; the row solves over
-    (v, t_c) alone and gets a y step of exactly 0.0.  I is eigendecomposed
-    and eigenvalues w with |w| <= eps * (block size) * max|w| are dropped,
-    the rank rule of np.linalg.lstsq, so a singular I gives the minimum-norm
-    solution.  Each row's step depends on that row alone."""
-    free = np.where(held[:, None], _Y_HELD, 1.0)
+    elsewhere.  The coordinates a row holds, True in held[row], have their
+    rows and columns of I zeroed, so they decouple with eigenvalue 0; the
+    row solves over the others and steps exactly 0.0 in each held one.  I is
+    eigendecomposed and eigenvalues w with |w| <= eps * (free count) * max|w|
+    are dropped, the rank rule of np.linalg.lstsq, so a singular I gives the
+    minimum-norm solution.  Each row's step depends on that row alone."""
+    free = np.where(held, 0.0, 1.0)
     block = free[:, :, None] * free[:, None, :]
-    size = 3 - held
+    size = free.sum(axis=-1)
     # the decomposition that tests positive definiteness (every eigenvalue of
-    # the block positive; a decoupled y is 0, not positive) is the solve's
+    # the block positive; a held coordinate is 0, not positive) is the solve's
     w, vec = np.linalg.eigh(observed * block)
     positive = (w > 0).sum(axis=-1) == size
     if not positive.all():
@@ -460,16 +461,16 @@ def _newton_step(observed, expected, score, held):
     # the score's coordinates on the kept eigenvectors over their eigenvalues
     coef = ((score * free)[:, None, :] @ vec) / np.where(keep, w, np.inf)[:, None, :]
     step = (coef @ np.swapaxes(vec, -1, -2))[:, 0]
-    step[held, 0] = 0.0
+    step[held] = 0.0
     return step
 
 
 @dataclass(frozen=True)
 class Refinement:
     """Ends of the Newton runs of one `minimize` call, one row per run: the
-    (y, v, t_c), its log-likelihood without ln k!, the expected information
-    of the run's last local model and that model's step h, whether the run
-    converged and the number of rate hypotheses it evaluated."""
+    point (a column per `_COORDINATES` row), its log-likelihood without ln k!,
+    the expected information of the run's last local model and that model's
+    step h, whether the run converged and the rate hypotheses it evaluated."""
 
     x: np.ndarray
     ll: np.ndarray
@@ -480,32 +481,33 @@ class Refinement:
 
     @property
     def nfev(self) -> int:
-        """Rate hypotheses evaluated by all runs, 10 per local model."""
+        """Rate hypotheses evaluated by all runs, 10 per local model for (y, v, t_c)."""
         return int(self.run_nfev.sum())
 
 
 def minimize(cfg, t, k, thetas, sides, flux0_cps, background_cps, binw_s) -> Refinement:
-    """Newton ascents of sum(k ln lam - lam), one from each row of thetas =
-    (y, v, t_c), with sign(y) held to that run's entry of sides (named for
-    the benchmark's tracer, which wraps it).  Each run fits its own trace:
-    t and k hold one time axis and one count row per run, and flux0_cps and
-    binw_s one value per run; the background is common.
+    """Newton ascents of sum(k ln lam - lam), one from each row of thetas, a
+    column per `_COORDINATES` row, each side-bounded one held to that run's
+    entry of sides (named for the benchmark's tracer, which wraps it).  Each
+    run fits its own trace: t and k hold one time axis and one count row per
+    run, and flux0_cps and binw_s one value per run; the background is common.
 
     A step solves I step = score by least squares (`_newton_step`), with I
     the observed information of `_local_model`, or the expected one,
-    J diag(1/lam) J^T, where the observed one is not positive definite.  At
-    y = 0, while the score points across the bound, y is held; a trial's y
-    is clipped to the side.  A step is halved until the log-likelihood does
-    not fall at a positive speed.  A run has converged once a step is
-    predicted to gain under REFINE_TOL, and stops unconverged after
-    MAX_REFINE_STEPS steps.  The runs advance in lockstep: each iteration
-    evaluates the trials of every live run in one rate call and makes one
-    stacked Newton step for all of them, which a run whose trial was
-    rejected discards for half its last step.  Each run's path is the one
-    it takes alone.
-    """
+    J diag(1/lam) J^T, where the observed one is not positive definite.  A
+    side-bounded coordinate at 0 is held while its score does not point into
+    the side, and a trial's is clipped to the side.  A step is halved until
+    the log-likelihood does not fall and every positive-bounded coordinate
+    is positive.  A run has converged once a step is predicted to gain under
+    REFINE_TOL, and stops unconverged after MAX_REFINE_STEPS steps.  The
+    runs advance in lockstep: each iteration evaluates the trials of every
+    live run in one rate call and makes one stacked Newton step for all of
+    them, which a run whose trial was rejected discards for half its last
+    step.  Each run's path is the one it takes alone."""
     theta = np.array(thetas, dtype=float)
     side = np.asarray(sides, dtype=float)
+    side_bound, positive = (np.array([c[2] == bound for c in _COORDINATES]) for bound in ("side", "positive"))
+    n_hyp = len(_differences(len(_COORDINATES))[0])
     n_runs = len(theta)
     t, k, flux0_cps, binw_s = (np.asarray(x, dtype=float) for x in (t, k, flux0_cps, binw_s))
     # one row per run, for the whole call: its point and local model, step,
@@ -513,15 +515,14 @@ def minimize(cfg, t, k, thetas, sides, flux0_cps, background_cps, binw_s) -> Ref
     # converged; the runs still going are the rows in live
     ll, score, observed, expected, h = _local_model(cfg, t, k, flux0_cps, background_cps, binw_s, theta, side)
     step, gain = np.zeros_like(theta), np.zeros(n_runs)
-    n_steps, nfev = np.zeros(n_runs, dtype=int), np.full(n_runs, 10)
+    n_steps, nfev = np.zeros(n_runs, dtype=int), np.full(n_runs, n_hyp)
     converged = np.zeros(n_runs, dtype=bool)
     live = np.arange(n_runs)
     # the live runs' inputs, gathered again only when live shrinks
     live_t, live_k, live_flux0, live_binw, live_side = t, k, flux0_cps, binw_s, side
     moved = np.ones(n_runs, dtype=bool)  # the live runs with a new local model
     while True:
-        # a run at y = 0 holds y while the score points across the bound
-        held = (theta[live, 0] == 0) & ~(score[live, 0] > 0)
+        held = side_bound & (theta[live] == 0) & ~(score[live] > 0)
         newton = _newton_step(observed[live], expected[live], score[live], held)
         step[live] = np.where(moved[:, None], newton, step[live] / 2.0)
         gain[live] = np.where(moved, 0.5 * (score[live] * newton).sum(axis=-1), gain[live] / 2.0)
@@ -534,13 +535,14 @@ def minimize(cfg, t, k, thetas, sides, flux0_cps, background_cps, binw_s) -> Ref
         if not live.size:
             return Refinement(theta, ll, expected, h, converged, nfev)
         trial = theta[live] + step[live] * h[live]
-        # y clipped to the side; unlike np.maximum, where keeps a -0.0
-        bound = live_side * trial[:, 0]
-        trial[:, 0] = live_side * np.where(0.0 > bound, 0.0, bound)
+        for c in np.flatnonzero(side_bound):  # unlike np.maximum, where keeps a -0.0
+            bound = live_side * trial[:, c]
+            trial[:, c] = live_side * np.where(0.0 > bound, 0.0, bound)
         at_trial = _local_model(cfg, live_t, live_k, live_flux0, background_cps, live_binw, trial, live_side)
-        nfev[live] += 10
-        moved = (trial[:, 1] > 0) & (at_trial[0] >= ll[live])
-        # an accepted run takes its trial's point and local model
+        nfev[live] += n_hyp
+        moved = at_trial[0] >= ll[live]
+        for c in np.flatnonzero(positive):
+            moved &= trial[:, c] > 0
         accepted = live[moved]
         for state, new in zip((theta, ll, score, observed, expected, h), (trial, *at_trial)):
             state[accepted] = new[moved]
@@ -549,9 +551,7 @@ def minimize(cfg, t, k, thetas, sides, flux0_cps, background_cps, binw_s) -> Ref
 
 _TRANSFORMS = {
     "y-mirror": lambda cfg, tr: replace(tr, y_off_um=-tr.y_off_um),
-    "z-antinode-shift": lambda cfg, tr: replace(
-        tr, z_pos_nm=tr.z_pos_nm + cfg.geometry.wavelength_nm / 2.0
-    ),
+    "z-antinode-shift": lambda cfg, tr: replace(tr, z_pos_nm=tr.z_pos_nm + cfg.geometry.wavelength_nm / 2.0),
     "z-mirror": lambda cfg, tr: replace(tr, z_pos_nm=-tr.z_pos_nm),
 }
 KNOWN_TRANSFORMS = tuple(_TRANSFORMS)

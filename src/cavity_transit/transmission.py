@@ -37,16 +37,12 @@ class Rates:
         for name in ("g0", "kappa", "gamma"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not self.is_strong_coupling:
+        if not (self.g0 > self.kappa and self.g0 > self.gamma):
             warnings.warn(
                 f"not in the strong-coupling regime: g0={self.g0} is not larger "
                 f"than kappa={self.kappa} and gamma={self.gamma}",
                 stacklevel=2,
             )
-
-    @property
-    def is_strong_coupling(self) -> bool:
-        return self.g0 > self.kappa and self.g0 > self.gamma
 
 
 @dataclass(frozen=True)

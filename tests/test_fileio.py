@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import stat
+import threading
 import xml.etree.ElementTree as ET
 from dataclasses import astuple
 
@@ -430,6 +433,55 @@ def test_csv_writers_match_per_value_formatting(tmp_path, monkeypatch):
     write_mode_image_csv(path, x, y, z)
     rows = "".join(f"{xv:.17g},{yv:.17g},{z[j, i]:.17g}\n" for j, yv in enumerate(y) for i, xv in enumerate(x))
     assert path.read_text() == "x_um,y_um,intensity\n" + rows
+
+
+def test_csv_writer_leaves_no_partial_file(tmp_path, monkeypatch):
+    # blocks of 4 rows: the bad sixth row fails after the first block is written
+    monkeypatch.setattr(fileio, "_WRITE_BLOCK", 4)
+    axis = [0.5] * 5 + ["not a number"] + [0.5]
+    path = tmp_path / "scan.csv"
+    with pytest.raises(TypeError):
+        write_scan_csv(path, "x_um", axis, [1.0] * len(axis))
+    assert list(tmp_path.iterdir()) == []
+    write_scan_csv(path, "x_um", [1.0], [2.0])
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_scan_csv(path, "x_um", axis, [1.0] * len(axis))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_csv_writer_writes_through_symlinks_and_names_the_path_on_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_WRITE_BLOCK", 4)
+    bad = [0.5] * 5 + ["not a number"]
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_scan_csv(link, "x_um", [1.0], [2.0])
+    assert link.is_symlink() and target.read_text() == "x_um,T\n1,2\n"
+    # a failed write through a dangling symlink leaves the link and no file
+    dangling = tmp_path / "dangling.csv"
+    dangling.symlink_to(tmp_path / "absent.csv")
+    with pytest.raises(TypeError):
+        write_scan_csv(dangling, "x_um", bad, [1.0] * len(bad))
+    assert dangling.is_symlink() and sorted(tmp_path.iterdir()) == [dangling, link, target]
+    missing = tmp_path / "no such directory" / "scan.csv"
+    with pytest.raises(FileNotFoundError, match=re.escape(repr(str(missing)))):
+        write_scan_csv(missing, "x_um", [1.0], [2.0])
+
+
+def test_csv_writer_writes_a_fifo_in_place(tmp_path):
+    # a FIFO, like /dev/stdout, cannot be replaced by a file
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    write_scan_csv(fifo, "x_um", [1.0], [2.0])
+    reader.join(timeout=10)
+    assert read == ["x_um,T\n1,2\n"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and sorted(tmp_path.iterdir()) == [fifo]
 
 
 def test_csv_writers_write_the_header_alone_for_no_rows(tmp_path):

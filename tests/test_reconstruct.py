@@ -39,6 +39,7 @@ from cavity_transit.reconstruct import (
     SIGN_RESOLVE_MARGIN,
     _bin_rates,
     _coarse_grid,
+    _differences,
     _grid_table,
     _local_model,
     _newton_step,
@@ -461,18 +462,24 @@ def test_fit_transits_equals_fit_transit_per_trace(monkeypatch, flux0_cps):
 
 
 def _lstsq_step(observed, expected, score, held):
-    """One run's Newton step solved on its own by np.linalg.lstsq: over
-    (v, t_c) alone when the run holds y, with the observed information where
+    """One run's Newton step solved on its own by np.linalg.lstsq: over the
+    coordinates the run does not hold, with the observed information where
     that block of it is positive definite and the expected one elsewhere."""
-    f = int(held)
-    info = observed if np.all(np.linalg.eigvalsh(observed[f:, f:]) > 0) else expected
+    free = ~held
+    block = np.ix_(free, free)
+    info = observed if np.all(np.linalg.eigvalsh(observed[block]) > 0) else expected
     step = np.zeros(3)
-    step[f:] = np.linalg.lstsq(info[f:, f:], score[f:], rcond=None)[0]
+    step[free] = np.linalg.lstsq(info[block], score[free], rcond=None)[0]
     return step
 
 
+_FREE = np.zeros(3, dtype=bool)  # a run that holds no coordinate
+_Y = np.array([True, False, False])  # a run that holds y
+
+
 def _step_cases():
-    """{name: (observed, expected, score, held)} of single runs."""
+    """{name: (observed, expected, score, held)} of single runs, held the
+    run's mask over (y, v, t_c)."""
     rng = np.random.default_rng(12)
 
     def spd():
@@ -488,12 +495,14 @@ def _step_cases():
     scale = np.diag([1e-9, 1.0, 1.0])
     near_singular = scale @ spd() @ scale
     cases = {
-        "positive-definite": (spd(), spd(), score, False),
-        "not-positive-definite": (indefinite, spd(), score, False),
-        "held": (spd(), spd(), score, True),
-        "held-not-positive-definite": (indefinite, spd(), score, True),
-        "singular-expected": (indefinite, singular, score, False),
-        "near-singular": (near_singular, near_singular, score, False),
+        "positive-definite": (spd(), spd(), score, _FREE),
+        "not-positive-definite": (indefinite, spd(), score, _FREE),
+        "held": (spd(), spd(), score, _Y),
+        "held-not-positive-definite": (indefinite, spd(), score, _Y),
+        "singular-expected": (indefinite, singular, score, _FREE),
+        "near-singular": (near_singular, near_singular, score, _FREE),
+        # the mask is not tied to y: a run that holds v and t_c moves y alone
+        "held-v-and-t_c": (spd(), spd(), score, ~_Y),
     }
     # a reference trace's local models: at the truth, and at y = 0 on the
     # + side, where the score pushes y across the bound
@@ -504,8 +513,8 @@ def _step_cases():
         CFG, trace.t, trace.counts.astype(float), DET.flux0_cps, 0.0, binw_s, theta, np.array([-1.0, 1.0])
     )
     assert score[1, 0] < 0
-    cases["reference-trace"] = (observed[0], expected[0], score[0], False)
-    cases["reference-trace-held"] = (observed[1], expected[1], score[1], True)
+    cases["reference-trace"] = (observed[0], expected[0], score[0], _FREE)
+    cases["reference-trace-held"] = (observed[1], expected[1], score[1], _Y)
     return cases
 
 
@@ -520,13 +529,73 @@ def test_stacked_step_matches_per_run_lstsq(name):
     stacked = _newton_step(*(np.array(column) for column in zip(*cases.values())))
     assert np.array_equal(stacked[list(cases).index(name)], alone)
     assert np.linalg.norm(alone - reference) <= 1e-12 * np.linalg.norm(reference)
-    if held:
-        assert alone[0] == 0.0 and not np.signbit(alone[0])
+    for c in np.flatnonzero(held):
+        assert alone[c] == 0.0 and not np.signbit(alone[c])
     if name == "not-positive-definite":
         assert np.min(np.linalg.eigvalsh(observed)) < 0
     if name == "singular-expected":
         # the minimum-norm solution: nothing along the null vector
         assert abs(alone @ [1.0, -1.0, 0.0]) <= 1e-12 * np.linalg.norm(alone)
+
+
+# The local model's hypotheses and difference coefficients for (y, v, t_c)
+# as written out by hand before the coordinate table: theta, theta +- h_i
+# and theta + h_i + h_j for the pairs below, in that order.
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_OFFSETS = np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3), [np.eye(3)[i] + np.eye(3)[j] for i, j in _PAIRS]])
+
+
+def _difference_coefficients():
+    rate = np.eye(len(_OFFSETS))
+    lam0, plus, minus = rate[0], rate[1:4], rate[4:7]
+    d2 = np.empty((3, 3, len(_OFFSETS)))
+    d2[[0, 1, 2], [0, 1, 2]] = plus - 2.0 * lam0 + minus
+    for p, (i, j) in enumerate(_PAIRS):
+        d2[i, j] = d2[j, i] = rate[7 + p] - plus[i] - plus[j] + lam0
+    return (plus - minus) / 2.0, d2
+
+
+def test_differences_of_three_coordinates_are_the_hand_written_ones():
+    # every fit's arithmetic depends on these arrays and their order
+    for got, want in zip(_differences(3), (_OFFSETS, *_difference_coefficients())):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_differences_are_exact_on_a_quadratic(p):
+    # central differences of a quadratic are its gradient and Hessian
+    offsets, jac, d2 = _differences(p)
+    assert len(offsets) == 1 + 2 * p + p * (p - 1) // 2
+    assert len({tuple(o) for o in offsets}) == len(offsets)
+    rng = np.random.default_rng(p)
+    grad, a = rng.normal(size=p), rng.normal(size=(p, p))
+    hessian = a + a.T
+    rates = 1.5 + offsets @ grad + 0.5 * np.einsum("ni,ij,nj->n", offsets, hessian, offsets)
+    assert np.allclose(jac @ rates, grad, rtol=0, atol=1e-12)
+    assert np.allclose(d2 @ rates, hessian, rtol=0, atol=1e-12)
+
+
+def test_a_fourth_coordinate_comes_from_the_table_alone(monkeypatch):
+    # the flux as a fourth coordinate, added by one table row: at zero
+    # background its maximum is the closed form K / (b sum T) at the fitted
+    # (y, v, t_c), and each local model evaluates 1 + 8 + 6 hypotheses
+    trace = sample_counts(expected_trace(CFG, Trajectory(-16.3, 0.39), DET), DET, 0)
+    k = trace.counts.astype(float)
+    binw_s = float(np.median(np.diff(trace.t)))
+    flux = ("flux0_cps", "value", "positive")
+    monkeypatch.setattr(reconstruct, "_COORDINATES", (*reconstruct._COORDINATES, flux))
+    real, calls = reconstruct._local_model, []
+    monkeypatch.setattr(reconstruct, "_local_model", lambda *args: calls.append(args) or real(*args))
+    # started 20% below the simulated flux; the flux argument is NaN, as the flux row replaces it
+    start = [-16.3, 0.39, 0.0, 0.8 * DET.flux0_cps]
+    runs = minimize(CFG, trace.t[None], k[None], [start], [-1.0], [np.nan], 0.0, [binw_s])
+    assert runs.x.shape == runs.h.shape == (1, 4) and runs.expected.shape == (1, 4, 4)
+    assert runs.converged[0]
+    assert runs.run_nfev[0] == 15 * len(calls)
+    y, v, t_c, flux0_cps = runs.x[0]
+    closed = k.sum() / (binw_s * _transmission(CFG, trace.t, y, v, t_c).sum())
+    assert abs(flux0_cps / closed - 1.0) <= 1e-5
 
 
 @pytest.mark.parametrize("flux0_cps", [0.0, -5e6, np.inf])
