@@ -100,8 +100,7 @@ def cmd_scan(args, rc: RunConfig) -> int:
             if not 0 <= args.g < np.inf:
                 raise ConfigError(f"--g must be non-negative and finite, got {args.g}")
             deltas = _scan_axis("detuning", (args.delta_min, args.delta_max), args.samples)
-            detunings = Detunings(deltas, cfg.detunings.delta_ca)
-            T = transmission_vs_coupling(args.g, cfg.rates, detunings, cfg.cross_term_sign)
+            T = transmission_vs_coupling(args.g, cfg.rates, Detunings(deltas, cfg.detunings.delta_ca))
         else:
             deltas, T = detuning_scan(
                 cfg, LabPoint(args.x, args.y, 0.0), (args.delta_min, args.delta_max), args.samples

@@ -28,7 +28,6 @@ class RunConfig:
     gamma_mhz: float = Rates.gamma
     delta_pa_mhz: float = Detunings.delta_pa
     delta_ca_mhz: float = Detunings.delta_ca
-    cross_term_sign: int = SystemConfig.cross_term_sign
     mode_m: int = ModeIndex.m
     mode_n: int = ModeIndex.n
     w0_um: float = ModeGeometry.w0_um
@@ -103,7 +102,6 @@ def system_config(rc: RunConfig) -> SystemConfig:
         detunings=Detunings(rc.delta_pa_mhz, rc.delta_ca_mhz),
         mode=ModeIndex(rc.mode_m, rc.mode_n),
         geometry=ModeGeometry(rc.w0_um, rc.wavelength_nm, rc.tilt_deg),
-        cross_term_sign=rc.cross_term_sign,
     )
 
 

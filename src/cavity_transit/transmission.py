@@ -60,38 +60,25 @@ class Detunings:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Complete physical configuration of the atom-cavity system.
-
-    cross_term_sign selects the sign s of the delta_ca * delta_pa cross term
-    in the transmission denominator, [g^2 - delta_pa^2 + s delta_ca delta_pa
-    + gamma kappa]^2.  The default -1 keeps the published weak-field form;
-    +1 recovers the expansion of |(gamma + i d_pa)(kappa + i(d_pa - d_ca))
-    + g^2|^2.  The two agree whenever delta_ca = 0.
-    """
+    """Complete physical configuration of the atom-cavity system."""
 
     rates: Rates = field(default_factory=Rates)
     detunings: Detunings = field(default_factory=Detunings)
     mode: ModeIndex = field(default_factory=ModeIndex)
     geometry: ModeGeometry = field(default_factory=ModeGeometry)
-    cross_term_sign: int = -1
-
-    def __post_init__(self):
-        if self.cross_term_sign not in (-1, 1):
-            raise ValueError(f"cross_term_sign must be -1 or +1, got {self.cross_term_sign}")
 
 
-def transmission_vs_coupling(g_eff, rates: Rates, detunings: Detunings, cross_term_sign: int = -1):
+def transmission_vs_coupling(g_eff, rates: Rates, detunings: Detunings):
     """Weak-field transmission for an effective coupling and detunings (scalars or arrays).
 
-    Normalized so an empty cavity on resonance transmits 1.
+    T = kappa^2 |a|^2 / |a b + g^2|^2, a = gamma + i delta_pa, b = kappa + i (delta_pa - delta_ca).
+    Re(b + g^2/a) >= kappa, so den = |a|^2 |b + g^2/a|^2 >= kappa^2 |a|^2 >= (gamma kappa)^2: 0 < T <= 1.
     """
     g = np.asarray(g_eff, dtype=float)
     dpa, dca = detunings.delta_pa, detunings.delta_ca
     kap, gam = rates.kappa, rates.gamma
     num = kap**2 * (gam**2 + dpa**2)
-    den = (g**2 - dpa**2 + cross_term_sign * dca * dpa + gam * kap) ** 2 + (
-        kap * dpa + gam * dpa - gam * dca
-    ) ** 2
+    den = (g**2 - dpa**2 + dca * dpa + gam * kap) ** 2 + (kap * dpa + gam * dpa - gam * dca) ** 2
     if np.any(den == 0.0):
         at = f"detunings={detunings}"
         if np.ndim(dpa):
@@ -110,7 +97,7 @@ def transmission_at(cfg: SystemConfig, p: LabPoint):
     """
     mp = lab_to_mode(p, cfg.geometry.tilt_deg)
     g = effective_coupling(cfg.rates.g0, cfg.mode, cfg.geometry, mp)
-    return transmission_vs_coupling(g, cfg.rates, cfg.detunings, cfg.cross_term_sign)
+    return transmission_vs_coupling(g, cfg.rates, cfg.detunings)
 
 
 def _scan_axis(name: str, bounds: tuple, samples: int) -> np.ndarray:

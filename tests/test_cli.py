@@ -76,14 +76,16 @@ def test_trace_csv_format(tmp_path):
 
 
 def test_scan_fixed_zero_coupling_matches_lorentzian(tmp_path):
-    path = tmp_path / "scan.csv"
-    assert run("scan", "--axis", "freq", "--delta-ca", 0, "--g", 0, "--out", path) == 0
-    lines = path.read_text().splitlines()
-    assert lines[0] == "delta_pa_mhz,T"
+    # a Lorentzian in delta_pa - delta_ca, the cavity resonant with the atom or not
     kappa = 2.6
-    for line in lines[1:]:
-        d, T = map(float, line.split(","))
-        assert abs(T - kappa**2 / (kappa**2 + d**2)) < 1e-12
+    for dca in (0, 3):
+        path = tmp_path / f"scan_{dca}.csv"
+        assert run("scan", "--axis", "freq", "--delta-ca", dca, "--g", 0, "--out", path) == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == "delta_pa_mhz,T"
+        for line in lines[1:]:
+            d, T = map(float, line.split(","))
+            assert abs(T - kappa**2 / (kappa**2 + (d - dca) ** 2)) < 1e-12
 
 
 def test_scan_fixed_coupling_matches_pointwise_loop(tmp_path):
@@ -170,10 +172,12 @@ def test_malformed_trace_reports_line_number(tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
+    # the second is a key that no longer exists: an old config fails loudly
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("g0_mhz = 23.9\nbogus_key = 1\n")
-    assert run("transit", "--config", cfg, "--y", 0, "--v", 0.4, "--out", tmp_path / "t.csv") == 2
-    assert "unknown key" in capsys.readouterr().err
+    for line in ("bogus_key = 1", "cross_term_sign = -1"):
+        cfg.write_text(f"g0_mhz = 23.9\n{line}\n")
+        assert run("transit", "--config", cfg, "--y", 0, "--v", 0.4, "--out", tmp_path / "t.csv") == 2
+        assert "unknown key" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path):
