@@ -8,14 +8,17 @@ a 37 x 37 TEM21 at 30 degrees), position and frequency scans (one with
 the cavity detuned from the atom by delta_ca = 3 MHz), fixed-coupling
 scans (g = 20.5 MHz, and an empty cavity at delta_ca = 0 and at 3 MHz),
 degeneracy, ensembles with and without timing jitter, thermometry from
-each ensemble and from fits, 12 transits with background, a single
-fit and a batch fit.  One transit reads a config file (`run.cfg`: a seed
+each ensemble and from fits, thermometry from a hand-written ensemble that
+`np.loadtxt` refuses (an underscore in a value, a whitespace-only line and
+CRLF line ends), so that it is read row by row, 12 transits with
+background, a single fit and a batch fit.  One transit reads a config file (`run.cfg`: a seed
 and a tilt), overrides a key by flag and dumps its effective configuration
-to `dump.cfg`, which is compared like its trace.  Sixteen bad-input
+to `dump.cfg`, which is compared like its trace.  Eighteen bad-input
 commands follow: a one-sample and a reversed fixed-coupling scan, a fit of
 a malformed trace, a fit of a good trace with a zero empty-cavity rate,
-thermometry over a fit directory whose one fit JSON lacks `v_mps` and over
-an ensemble with one infinite arrival time, two transits that argparse
+thermometry over a fit directory whose one fit JSON lacks `v_mps`, over
+two directories of 12 fits of which one has a NaN `v_mps` or an infinite
+`t_c_s`, and over an ensemble with one infinite arrival time, two transits that argparse
 refuses (one with a non-numeric value and one with an unknown flag), a
 position scan at y = NaN, a detuning scan at x = NaN, fixed-coupling scans
 at g = NaN and g = inf, and mode images with a NaN or negative extent and
@@ -94,12 +97,15 @@ COMMANDS = [
     ["fit", "--trace=traces/release_00.csv", BACKGROUND, "--out=fit_single.json"],
     ["fit", "--trace=traces", BACKGROUND, "--out=fits"],
     ["thermometry", "--fits=fits", "--out=temperature_fits.json"],
+    ["thermometry", "--ensemble=rowwise_ensemble.csv", "--out=temperature_rowwise.json"],
     # bad input: these must fail with exit code 2 and a message on stderr
     ["scan", "--axis=freq", "--g=5", "--samples=1", "--out=bad_scan_one_sample.csv"],
     ["scan", "--axis=freq", "--g=5", "--delta-min=5", "--delta-max=-5", "--out=bad_scan_reversed.csv"],
     ["fit", "--trace=malformed_trace.csv", "--out=bad_fit.json"],
     ["fit", "--trace=traces/release_00.csv", "--flux0-known=0", "--out=bad_fit_flux0.json"],
     ["thermometry", "--fits=fits_missing_key", "--out=bad_temperature.json"],
+    ["thermometry", "--fits=fits_nan_speed", "--out=bad_temperature_nan_speed.json"],
+    ["thermometry", "--fits=fits_inf_time", "--out=bad_temperature_inf_time.json"],
     ["thermometry", "--ensemble=nonfinite_ensemble.csv", "--out=bad_temperature_inf.json"],
     ["transit", "--y=0", "--v=0.4", "--tilt-deg=abc", "--out=bad_transit_tilt.csv"],
     ["transit", "--y=0", "--v=0.4", "--bogus=1", "--out=bad_transit_flag.csv"],
@@ -124,9 +130,28 @@ FIT_MISSING_KEY = (
     '{"y_off_um": 1.0, "t_c_s": 0.0, "sigma_y_um": 0.1, "sigma_v_mps": 0.005, "sigma_tc_s": 1e-06,'
     ' "log_lik": -100.0, "mirror_log_lik": -150.0, "converged": true, "n_evals": 1}\n'
 )
+# twelve fits each, the second with a NaN speed or an infinite crossing time
+NONFINITE_FITS = {
+    name: [
+        json.dumps(
+            {**json.loads(FIT_MISSING_KEY), "v_mps": 0.4 + 0.01 * i, "t_c_s": 0.03 + 0.001 * i}
+            | (bad if i == 1 else {})
+        )
+        + "\n"
+        for i in range(12)
+    ]
+    for name, bad in (("fits_nan_speed", {"v_mps": math.nan}), ("fits_inf_time", {"t_c_s": math.inf}))
+}
 # twelve ensemble records, the sixth with an infinite arrival time
 NONFINITE_ENSEMBLE = "v0_mps,t_arr_ms,v_arr_mps\n" + "".join(
     f"{0.01 * i!r},{'inf' if i == 5 else repr(30.0 + i)},{0.31 + 0.001 * i!r}\n" for i in range(12)
+)
+# twelve ensemble records with CRLF line ends, an underscore in the fourth
+# value and a whitespace-only line
+ROWWISE_ENSEMBLE = "v0_mps,t_arr_ms,v_arr_mps\r\n" + "".join(
+    f"{'1_0e-2' if i == 3 else repr(0.01 * i)},{30.0 + 0.5 * i!r},{0.31 + 0.001 * i!r}\r\n"
+    + (" \t \r\n" if i == 6 else "")
+    for i in range(12)
 )
 
 # Runs inside the fresh interpreter: argv is (src, outdir).  Each pass writes
@@ -150,6 +175,13 @@ def run_pass(passdir):
         f.write(RUN_CONFIG)
     with open("nonfinite_ensemble.csv", "w") as f:
         f.write(NONFINITE_ENSEMBLE)
+    with open("rowwise_ensemble.csv", "w", newline="") as f:
+        f.write(ROWWISE_ENSEMBLE)
+    for name, texts in NONFINITE_FITS.items():
+        os.makedirs(name)
+        for i, text in enumerate(texts):
+            with open(os.path.join(name, f"fit_{i:02d}.json"), "w") as f:
+                f.write(text)
     codes, errs, outs = [], [], []
     for argv in COMMANDS:
         err, out = io.StringIO(), io.StringIO()
@@ -188,7 +220,8 @@ def run_tree(src: Path, outdir: Path) -> None:
     code = (
         f"COMMANDS = {COMMANDS!r}\nMALFORMED_TRACE = {MALFORMED_TRACE!r}\n"
         f"FIT_MISSING_KEY = {FIT_MISSING_KEY!r}\nRUN_CONFIG = {RUN_CONFIG!r}\n"
-        f"NONFINITE_ENSEMBLE = {NONFINITE_ENSEMBLE!r}\nPASSES = {PASSES!r}\n" + DRIVER
+        f"NONFINITE_ENSEMBLE = {NONFINITE_ENSEMBLE!r}\nROWWISE_ENSEMBLE = {ROWWISE_ENSEMBLE!r}\n"
+        f"NONFINITE_FITS = {NONFINITE_FITS!r}\nPASSES = {PASSES!r}\n" + DRIVER
     )
     subprocess.run([sys.executable, "-c", code, str(src), str(outdir)], check=True)
 

@@ -21,16 +21,16 @@ def main():
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 20_000
     outdir.mkdir(parents=True, exist_ok=True)
     fc = FallConfig()
-    records = sample_ensemble(fc, 186e-6, CESIUM_MASS_KG, n, seed=42)
-    write_ensemble_csv(outdir / "ensemble.csv", records)
+    ensemble = sample_ensemble(fc, 186e-6, CESIUM_MASS_KG, n, seed=42)
+    write_ensemble_csv(outdir / "ensemble.csv", ensemble)
 
-    centers, means = v_shape_curve(records, n_bins=64)
+    centers, means = v_shape_curve(ensemble, n_bins=64)
     lines = ["t_arr_ms,mean_v_arr_mps"] + [
         f"{c:.17g},{m:.17g}" for c, m in zip(centers, means)
     ]
     (outdir / "v_curve.csv").write_text("\n".join(lines) + "\n")
 
-    est = estimate_temperature(records, fc, CESIUM_MASS_KG)
+    est = estimate_temperature(ensemble, fc, CESIUM_MASS_KG)
     write_temperature_json(outdir / "temperature.json", est)
     print(json.dumps(json.loads((outdir / "temperature.json").read_text()), indent=2))
     i_min = int(np.argmin(means))

@@ -5,7 +5,7 @@ Poisson maximum-likelihood fitter and time-of-flight thermometry."""
 from .config import CESIUM_MASS_KG, ConfigError, RunConfig
 from .detector import DetectorConfig, TransitTrace, expected_trace, sample_counts
 from .kinematics import (
-    EnsembleRecord,
+    Ensemble,
     FallConfig,
     Trajectory,
     arrival_from_initial,

@@ -173,7 +173,7 @@ def cmd_degeneracy(args, rc: RunConfig) -> int:
 
 
 def cmd_ensemble(args, rc: RunConfig) -> int:
-    records = sample_ensemble(
+    ensemble = sample_ensemble(
         fall_config(rc),
         args.temperature_uk * 1e-6,
         rc.atom_mass_kg,
@@ -181,7 +181,7 @@ def cmd_ensemble(args, rc: RunConfig) -> int:
         rc.seed,
         timing_jitter_s=args.timing_jitter_ms * 1e-3,
     )
-    fileio.write_ensemble_csv(_out_path(rc, "ensemble.csv"), records)
+    fileio.write_ensemble_csv(_out_path(rc, "ensemble.csv"), ensemble)
     return EXIT_OK
 
 
@@ -190,13 +190,13 @@ def cmd_thermometry(args, rc: RunConfig) -> int:
         raise ConfigError("pass exactly one of --ensemble CSV or --fits DIR")
     fc = fall_config(rc)
     if args.ensemble:
-        records = fileio.read_ensemble_csv(args.ensemble)
+        ensemble = fileio.read_ensemble_csv(args.ensemble)
     else:
         paths = sorted(Path(args.fits).glob("*.json"))
         if not paths:
             raise ConfigError(f"no fit JSON files found in {args.fits}")
-        records = records_from_fits([fileio.read_fit_json(p) for p in paths], fc)
-    est = estimate_temperature(records, fc, rc.atom_mass_kg)
+        ensemble = records_from_fits([fileio.read_fit_json(p) for p in paths], fc)
+    est = estimate_temperature(ensemble, fc, rc.atom_mass_kg)
     fileio.write_temperature_json(_out_path(rc, "temperature.json"), est)
     return EXIT_OK
 

@@ -2,24 +2,26 @@
 
 Floats are written with 17 significant digits so every file round-trips to
 the exact double that produced it.  Each CSV is a header line plus one row
-per record, written by `_write_csv` and streamed back by `_read_csv`, which
-names the line of any malformed row.  JSON files hold the
-`dataclasses.asdict` form of a result, written by `_write_json`.
+per record, written by `_write_csv` and streamed back by `_read_csv` (an
+ensemble is parsed by `np.loadtxt` first), which names the line of any
+malformed row.  JSON files hold the `dataclasses.asdict` form of a result,
+written by `_write_json`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import warnings
 from dataclasses import asdict, fields
 from itertools import chain, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .detector import TransitTrace, _time_axis_fault
-from .kinematics import EnsembleRecord
+from .kinematics import Ensemble
 from .reconstruct import FitResult
 from .svgplot import _grid
 from .thermometry import TemperatureEstimate
@@ -138,23 +140,35 @@ def read_trace_csv(path) -> TransitTrace:
     )
 
 
-def write_ensemble_csv(path, records) -> None:
-    """Ensemble format `v0_mps,t_arr_ms,v_arr_mps`, one row per EnsembleRecord."""
-    _write_csv(path, _ENSEMBLE_HEADER, "%.17g,%.17g,%.17g\n", records)
+def write_ensemble_csv(path, ensemble: Ensemble) -> None:
+    """Ensemble format `v0_mps,t_arr_ms,v_arr_mps`, one row per atom."""
+    columns = (ensemble.v0_mps, ensemble.t_arr_ms, ensemble.v_arr_mps)
+    blocks = (slice(s, s + _WRITE_BLOCK) for s in range(0, len(ensemble), _WRITE_BLOCK))
+    rows = chain.from_iterable(zip(*(c[b].tolist() for c in columns)) for b in blocks)
+    _write_csv(path, _ENSEMBLE_HEADER, "%.17g,%.17g,%.17g\n", rows)
 
 
-def read_ensemble_csv(path) -> list[EnsembleRecord]:
-    """Read an ensemble; every value must be finite."""
-    rows = _read_csv(path, _ENSEMBLE_HEADER, lambda parts: EnsembleRecord._make(map(float, parts)))
-    records = [record for _, record in rows]
-    # one check per column of parsed values; the line is found again only on a fault
-    for field, name in enumerate(EnsembleRecord._fields):
-        bad = ~np.isfinite(np.fromiter(map(itemgetter(field), records), float, len(records)))
-        if bad.any():
-            i = int(bad.argmax())
-            lineno = next(islice(_read_csv(path, _ENSEMBLE_HEADER, tuple), i, None))[0]
-            raise CsvFormatError(f"{path}:{lineno}: {name} {records[i][field]!r} is not finite")
-    return records
+def read_ensemble_csv(path) -> Ensemble:
+    """Read an ensemble; every value must be finite.  `np.loadtxt` parses
+    the rows after the header in one call; a file it refuses, or whose
+    values are not n finite rows of three, is read again row by row by
+    `_read_csv`, whose values and messages are the reference."""
+    with Path(path).open() as f:
+        if f.readline().strip() == _ENSEMBLE_HEADER:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on no rows, which the re-read handles
+                try:
+                    data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+                except ValueError:
+                    data = np.empty((0, 0))
+            if data.shape[1] == 3 and np.isfinite(data).all():
+                return Ensemble(*data.T)
+    rows = list(_read_csv(path, _ENSEMBLE_HEADER, lambda parts: tuple(map(float, parts))))
+    for field, name in enumerate(_ENSEMBLE_HEADER.split(",")):  # v0_mps first, as the file orders them
+        for lineno, row in rows:
+            if not math.isfinite(row[field]):
+                raise CsvFormatError(f"{path}:{lineno}: {name} {row[field]!r} is not finite")
+    return Ensemble(*np.array([row for _, row in rows], dtype=np.float64).reshape(len(rows), 3).T)
 
 
 def write_fit_json(path, result: FitResult) -> None:

@@ -9,13 +9,11 @@ free-fall relations connect the trap release to the arrival at the mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 K_BOLTZMANN = 1.380649e-23  # J/K
-_RECORD_BLOCK = 4096  # records built per block by sample_ensemble
 
 
 @dataclass(frozen=True)
@@ -56,13 +54,37 @@ class Trajectory:
             raise ValueError(f"v_mps must be positive and finite, got {self.v_mps}")
 
 
-class EnsembleRecord(NamedTuple):
-    """Initial vertical velocity (m/s, positive downward), arrival time (ms)
-    and arrival speed (m/s) of one atom."""
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """The atoms of a dropped ensemble as three read-only float64 columns:
+    initial vertical velocity (m/s, positive downward), arrival time (ms)
+    and arrival speed (m/s).  They are checked once, when built: of one
+    dimension, of equal length and finite, naming the first non-finite value
+    of v_arr_mps, then t_arr_ms, then v0_mps.  `==` is exact equality of
+    every column, and False against any other type."""
 
-    v0_mps: float
-    t_arr_ms: float
-    v_arr_mps: float
+    v0_mps: np.ndarray
+    t_arr_ms: np.ndarray
+    v_arr_mps: np.ndarray
+
+    def __post_init__(self):
+        columns = {f.name: np.array(getattr(self, f.name), dtype=np.float64) for f in fields(self)}
+        shapes = [c.shape for c in columns.values()]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"columns must be one-dimensional and of equal length, got shapes {shapes}")
+        for name, values in reversed(columns.items()):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    def __len__(self) -> int:
+        return len(self.v0_mps)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Ensemble and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
 
 def x_at(tr: Trajectory, t) -> float:
@@ -88,13 +110,13 @@ def sample_ensemble(
     n: int,
     seed: int,
     timing_jitter_s: float = 0.0,
-) -> list[EnsembleRecord]:
+) -> Ensemble:
     """Draw n atoms from a 1D thermal velocity distribution and drop them.
 
     Initial velocities are i.i.d. normal with variance k_B T / m; the output
     is deterministic for a given seed.  timing_jitter_s adds a normal clock
     error to the recorded arrival times (the release-time origin is otherwise
-    assumed exactly known): jittered records intentionally break the
+    assumed exactly known): jittered atoms intentionally break the
     ballistic relation between t_arr and v_arr.
     """
     if not 0 < temperature_k < math.inf:
@@ -111,9 +133,4 @@ def sample_ensemble(
     t_arr, v_arr = arrival_from_initial(fc, v0)
     if timing_jitter_s > 0:
         t_arr = t_arr + rng.normal(0.0, timing_jitter_s, n)
-    records = []
-    for s in range(0, n, _RECORD_BLOCK):  # Python floats a block at a time, no whole list
-        block = slice(s, s + _RECORD_BLOCK)
-        columns = (v0[block].tolist(), (t_arr[block] * 1e3).tolist(), v_arr[block].tolist())
-        records += map(EnsembleRecord._make, zip(*columns))
-    return records
+    return Ensemble(v0, t_arr * 1e3, v_arr)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import K_BOLTZMANN, EnsembleRecord, FallConfig
+from .kinematics import K_BOLTZMANN, Ensemble, FallConfig
 
-V_SHAPE_BINS = 40  # arrival-time bins of the V-shaped curve; fewer for under 400 records
+V_SHAPE_BINS = 40  # arrival-time bins of the V-shaped curve; fewer for under 400 atoms
 
 
 @dataclass(frozen=True)
@@ -26,15 +26,14 @@ class TemperatureEstimate:
     t_min_ms: float
 
 
-def v_shape_curve(records, n_bins: int):
+def v_shape_curve(ensemble: Ensemble, n_bins: int):
     """Mean arrival speed in uniform arrival-time bins.
 
     Returns (bin centers in ms, mean speeds in m/s) for the populated bins.
     """
     if n_bins < 2:
         raise ValueError(f"need at least 2 bins, got {n_bins}")
-    t = np.array([r.t_arr_ms for r in records])
-    v = np.array([r.v_arr_mps for r in records])
+    t, v = ensemble.t_arr_ms, ensemble.v_arr_mps
     edges = np.linspace(t.min(), t.max(), n_bins + 1)
     idx = np.clip(np.digitize(t, edges) - 1, 0, n_bins - 1)
     centers, means = [], []
@@ -48,31 +47,26 @@ def v_shape_curve(records, n_bins: int):
     return np.array(centers), np.array(means)
 
 
-def estimate_temperature(records, fc: FallConfig, atom_mass_kg: float) -> TemperatureEstimate:
+def estimate_temperature(ensemble: Ensemble, fc: FallConfig, atom_mass_kg: float) -> TemperatureEstimate:
     """Trap temperature from the spread of inverted initial velocities.
 
-    Each record is inverted to v0 = v_arr - g t_arr; the estimate is
-    T = m var(v0) / k_B with the unbiased sample variance, and its
-    statistical uncertainty is T sqrt(2/(n-1)).  Every arrival time and
-    speed must be finite.
+    Each atom's arrival is inverted to v0 = v_arr - g t_arr (the ensemble's
+    own v0 column is not read); the estimate is T = m var(v0) / k_B with the
+    unbiased sample variance, and its statistical uncertainty is
+    T sqrt(2/(n-1)).
     """
     if not 0 < atom_mass_kg < math.inf:
         raise ValueError(f"atom_mass_kg must be positive and finite, got {atom_mass_kg}")
-    n = len(records)
+    n = len(ensemble)
     if n < 10:
         raise ValueError(f"need at least 10 records, got {n}")
-    v_arr = np.array([r.v_arr_mps for r in records])
-    t_arr_ms = np.array([r.t_arr_ms for r in records])
-    for name, values in (("v_arr_mps", v_arr), ("t_arr_ms", t_arr_ms)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
-    v0 = v_arr - fc.gravity_mps2 * (t_arr_ms * 1e-3)
+    v0 = ensemble.v_arr_mps - fc.gravity_mps2 * (ensemble.t_arr_ms * 1e-3)
     var = float(np.var(v0, ddof=1))
     if var == 0.0 or np.ptp(v0) == 0.0:
         raise ValueError("zero velocity variance: temperature not positive")
     temperature = atom_mass_kg * var / K_BOLTZMANN
     sigma = temperature * math.sqrt(2.0 / (n - 1))
-    centers, means = v_shape_curve(records, min(V_SHAPE_BINS, max(2, n // 10)))
+    centers, means = v_shape_curve(ensemble, min(V_SHAPE_BINS, max(2, n // 10)))
     i_min = int(np.argmin(means))
     return TemperatureEstimate(
         temperature_k=temperature,
@@ -83,15 +77,12 @@ def estimate_temperature(records, fc: FallConfig, atom_mass_kg: float) -> Temper
     )
 
 
-def records_from_fits(fits, fc: FallConfig) -> list[EnsembleRecord]:
-    """Ensemble records from fitted transits.
+def records_from_fits(fits, fc: FallConfig) -> Ensemble:
+    """The ensemble of fitted transits, one atom per fit.
 
     The fitted crossing time is the arrival time when the clock origin is the
     trap release, and the fitted transit speed is the arrival speed.
     """
-    out = []
-    for f in fits:
-        t_arr_s = f.params.t_c_s
-        v_arr = f.params.v_mps
-        out.append(EnsembleRecord(v_arr - fc.gravity_mps2 * t_arr_s, t_arr_s * 1e3, v_arr))
-    return out
+    t_arr_s = np.array([f.t_c_s for f in fits], dtype=np.float64)
+    v_arr = np.array([f.v_mps for f in fits], dtype=np.float64)
+    return Ensemble(v_arr - fc.gravity_mps2 * t_arr_s, t_arr_s * 1e3, v_arr)

@@ -330,11 +330,11 @@ def test_criterion_08_thermometry():
     fc = FallConfig()
     hits = 0
     for seed in range(200):
-        records = sample_ensemble(fc, 186e-6, CESIUM_MASS_KG, 1000, seed=seed)
-        est = estimate_temperature(records, fc, CESIUM_MASS_KG)
+        ensemble = sample_ensemble(fc, 186e-6, CESIUM_MASS_KG, 1000, seed=seed)
+        est = estimate_temperature(ensemble, fc, CESIUM_MASS_KG)
         hits += abs(est.temperature_k - 186e-6) <= 20e-6
-    records = sample_ensemble(fc, 186e-6, CESIUM_MASS_KG, 20_000, seed=42)
-    centers, means = v_shape_curve(records, n_bins=64)
+    ensemble = sample_ensemble(fc, 186e-6, CESIUM_MASS_KG, 20_000, seed=42)
+    centers, means = v_shape_curve(ensemble, n_bins=64)
     t_min = float(centers[np.argmin(means)])
     v_rest = arrival_from_initial(fc, 0.0)[1]
     elapsed = time.perf_counter() - t0

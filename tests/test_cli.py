@@ -5,7 +5,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +324,32 @@ def test_thermometry_rejects_a_bad_fit_json(tmp_path, capsys, edit, message):
     assert run("thermometry", "--fits", fits_dir, "--out", tmp_path / "t.json") == 2
     assert f"error: {bad}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize(
+    "n_fits, key, value, message",
+    [
+        (12, "v_mps", math.nan, "v_arr_mps must be finite, got nan"),
+        (12, "t_c_s", math.inf, "t_arr_ms must be finite, got inf"),
+        # the ensemble is checked when it is built, before the estimate counts it
+        (3, "v_mps", math.nan, "v_arr_mps must be finite, got nan"),
+    ],
+    ids=["nan-speed", "infinite-time", "nan-speed-few-fits"],
+)
+def test_thermometry_rejects_a_non_finite_fit(tmp_path, capsys, n_fits, key, value, message):
+    from cavity_transit.fileio import write_fit_json
+
+    fits_dir = tmp_path / "fits"
+    fits_dir.mkdir()
+    for i in range(n_fits):
+        fit = FitResult(0.0, 0.4 + 0.01 * i, 0.03 + 0.001 * i, 0.1, 0.005, 1e-6, -100.0, -150.0, True, 1)
+        if i == 1:
+            fit = replace(fit, **{key: value})
+        write_fit_json(fits_dir / f"fit_{i:02d}.json", fit)
+    temp = tmp_path / "t.json"
+    assert run("thermometry", "--fits", fits_dir, "--out", temp) == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not temp.exists()
 
 
 def test_fit_rejects_zero_known_flux(tmp_path, capsys):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cavity_transit import (
     DetectorConfig,
-    EnsembleRecord,
+    Ensemble,
     FallConfig,
     FitResult,
     SystemConfig,
@@ -160,10 +160,10 @@ def test_trace_csv_round_trip_property(tmp_path_factory, t0, step, values, sampl
 @given(st.lists(st.tuples(_finite, _finite, _finite), max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_ensemble_csv_round_trip_property(tmp_path_factory, rows):
-    records = [EnsembleRecord(*r) for r in rows]
+    ensemble = Ensemble(*np.array(rows, dtype=float).reshape(len(rows), 3).T)
     path = tmp_path_factory.mktemp("ensemble") / "ens.csv"
-    write_ensemble_csv(path, records)
-    assert read_ensemble_csv(path) == records
+    write_ensemble_csv(path, ensemble)
+    assert read_ensemble_csv(path) == ensemble
 
 
 def _same_fields(a, b) -> bool:
@@ -212,11 +212,14 @@ def test_temperature_json_round_trip_property(tmp_path_factory, est):
     assert _same_fields(TemperatureEstimate(**json.loads(path.read_text())), est)
 
 
-def test_ensemble_round_trips_exactly(tmp_path):
-    records = sample_ensemble(FallConfig(), 186e-6, CESIUM_MASS_KG, 250, seed=3)
+def test_ensemble_round_trips_exactly(tmp_path, monkeypatch):
+    ensemble = sample_ensemble(FallConfig(), 186e-6, CESIUM_MASS_KG, 250, seed=3)
     path = tmp_path / "ens.csv"
-    write_ensemble_csv(path, records)
-    assert read_ensemble_csv(path) == records
+    write_ensemble_csv(path, ensemble)
+    assert read_ensemble_csv(path) == ensemble
+    # a file the writer wrote needs no row-at-a-time re-read
+    monkeypatch.delattr(fileio, "_read_csv")
+    assert read_ensemble_csv(path) == ensemble
 
 
 def test_ensemble_header_checked(tmp_path):
@@ -418,8 +421,17 @@ def test_csv_writers_match_per_value_formatting(tmp_path, monkeypatch):
     reverse = values[::-1]
     write_scan_csv(path, "x_um", values, reverse)
     assert path.read_text() == "x_um,T\n" + _rows(values, reverse)
-    write_ensemble_csv(path, [EnsembleRecord(*r) for r in zip(values, reverse, values)])
-    assert path.read_text() == "v0_mps,t_arr_ms,v_arr_mps\n" + _rows(values, reverse, values)
+    # an ensemble holds finite values alone: 11 rows of the finite ones
+    finite = [v for v in values if math.isfinite(v)]
+    finite += finite[:11 - len(finite)]
+    write_ensemble_csv(path, Ensemble(finite, finite[::-1], finite))
+    assert path.read_text() == "v0_mps,t_arr_ms,v_arr_mps\n" + _rows(finite, finite[::-1], finite)
+    # and refuses the others by field, so no ensemble the reader would refuse reaches the writer
+    for name in ("v0_mps", "t_arr_ms", "v_arr_mps"):
+        for bad in (v for v in values if not math.isfinite(v)):
+            columns = {"v0_mps": finite, "t_arr_ms": finite, "v_arr_mps": finite, name: finite[:-1] + [bad]}
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+                Ensemble(**columns)
     t = np.arange(len(values)) * 1e-5
     counts = np.arange(len(values)) * 7
     write_trace_csv(path, TransitTrace(t, values, counts))
@@ -486,9 +498,9 @@ def test_csv_writer_writes_a_fifo_in_place(tmp_path):
 
 def test_csv_writers_write_the_header_alone_for_no_rows(tmp_path):
     path = tmp_path / "out.csv"
-    write_ensemble_csv(path, [])
+    write_ensemble_csv(path, Ensemble([], [], []))
     assert path.read_text() == "v0_mps,t_arr_ms,v_arr_mps\n"
-    assert read_ensemble_csv(path) == []
+    assert read_ensemble_csv(path) == Ensemble([], [], [])
     write_scan_csv(path, "delta_pa_mhz", [], [])
     assert path.read_text() == "delta_pa_mhz,T\n"
     write_trace_csv(path, TransitTrace([], []))
@@ -514,3 +526,65 @@ def test_non_finite_ensemble_value_rejected_with_its_line(tmp_path, field, index
     message = f"{path}:5: {field} {float(value)!r} is not finite"
     with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
         read_ensemble_csv(path)
+
+
+_HEADER = "v0_mps,t_arr_ms,v_arr_mps"
+_GOOD_ROWS = ["0.1,31.9,0.31", "-0.25,50.5,0.6", "-0,5e-324,1e308"]
+
+
+def _with_value(field, value):
+    row = _GOOD_ROWS[0].split(",")
+    row[field] = value
+    return [_GOOD_ROWS[1], ",".join(row), _GOOD_ROWS[2]]
+
+
+_READER_INPUTS = {
+    "plain": _HEADER + "\n" + "\n".join(_GOOD_ROWS) + "\n",
+    "underscore": _HEADER + "\n1_0,31.9,0.31\n" + _GOOD_ROWS[1] + "\n",
+    "whitespace-line": _HEADER + "\n" + _GOOD_ROWS[0] + "\n  \t \n" + _GOOD_ROWS[1] + "\n",
+    "blank-line": _HEADER + "\n" + _GOOD_ROWS[0] + "\n\n" + _GOOD_ROWS[1] + "\n",
+    "crlf": "\r\n".join([_HEADER, *_GOOD_ROWS]) + "\r\n",
+    "no-final-newline": "\n".join([_HEADER, *_GOOD_ROWS]),
+    "spaces-around-fields": _HEADER + "\n 0.1 , 31.9 ,0.31 \n" + _GOOD_ROWS[1] + "\n",
+    "hash": _HEADER + "\n" + _GOOD_ROWS[0] + "\n# comment\n" + _GOOD_ROWS[1] + "\n",
+    "trailing-hash": _HEADER + "\n" + _GOOD_ROWS[0] + " # comment\n",
+    "quotes": _HEADER + '\n"0.1",31.9,0.31\n',
+    "trailing-comma": _HEADER + "\n" + _GOOD_ROWS[0] + ",\n",
+    "two-fields": _HEADER + "\n" + _GOOD_ROWS[0] + "\n0.1,31.9\n",
+    "header-only": _HEADER + "\n",
+    "header-only-crlf": _HEADER + "\r\n",
+    "empty": "",
+    **{
+        f"{value}-{name}": _HEADER + "\n" + "\n".join(_with_value(field, value)) + "\n"
+        for field, name in enumerate(_HEADER.split(","))
+        for value in ("nan", "inf", "-Infinity")
+    },
+}
+
+
+def _streaming_reference(path):
+    """The row-at-a-time reader: each row through `_read_csv`, then each
+    column in turn checked finite.  Returns the rows."""
+    rows = list(fileio._read_csv(path, _HEADER, lambda parts: tuple(map(float, parts))))
+    for field, name in enumerate(_HEADER.split(",")):
+        for lineno, row in rows:
+            if not math.isfinite(row[field]):
+                raise CsvFormatError(f"{path}:{lineno}: {name} {row[field]!r} is not finite")
+    return [row for _, row in rows]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", _READER_INPUTS.values(), ids=_READER_INPUTS.keys())
+def test_ensemble_reader_matches_the_streaming_reader(tmp_path, text):
+    path = tmp_path / "ens.csv"
+    path.write_bytes(text.encode())
+    try:
+        rows = _streaming_reference(path)
+    except CsvFormatError as exc:
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(str(exc))}$"):
+            read_ensemble_csv(path)
+        return
+    ensemble = read_ensemble_csv(path)
+    expected = np.array(rows, dtype=float).reshape(len(rows), 3).T
+    for column, reference in zip((ensemble.v0_mps, ensemble.t_arr_ms, ensemble.v_arr_mps), expected):
+        assert column.tobytes() == reference.tobytes()  # bit for bit, -0.0 included

@@ -1,6 +1,7 @@
 """Free-fall kinematics and thermal ensemble tests."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavity_transit import (
-    EnsembleRecord,
+    Ensemble,
     FallConfig,
     Trajectory,
     arrival_from_initial,
     sample_ensemble,
     x_at,
 )
-from cavity_transit import kinematics
 from cavity_transit.config import CESIUM_MASS_KG
 from cavity_transit.kinematics import K_BOLTZMANN
 
@@ -90,24 +90,24 @@ def test_arrival_speed_is_v_shaped_in_arrival_time():
 
 
 def test_ensemble_velocity_spread():
-    records = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 200_000, seed=11)
-    v0 = np.array([r.v0_mps for r in records])
+    v0 = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 200_000, seed=11).v0_mps
     assert np.std(v0, ddof=1) == pytest.approx(0.1079, abs=1e-3)
     assert np.mean(v0) == pytest.approx(0.0, abs=1e-3)
 
 
 def test_ensemble_energy_invariant():
     g, h = FC.gravity_mps2, FC.drop_height_m
-    for r in sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 500, seed=2):
-        assert r.v_arr_mps**2 == pytest.approx(r.v0_mps**2 + 2 * g * h, rel=1e-9)
-        assert r.v_arr_mps == pytest.approx(r.v0_mps + g * r.t_arr_ms * 1e-3, rel=1e-9)
+    e = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 500, seed=2)
+    for v0, t_arr_ms, v_arr in zip(e.v0_mps, e.t_arr_ms, e.v_arr_mps):
+        assert v_arr**2 == pytest.approx(v0**2 + 2 * g * h, rel=1e-9)
+        assert v_arr == pytest.approx(v0 + g * t_arr_ms * 1e-3, rel=1e-9)
 
 
 def test_cold_limit_collapses_to_free_fall():
-    records = sample_ensemble(FC, 1e-15, CESIUM_MASS_KG, 100, seed=5)
-    for r in records:
-        assert r.t_arr_ms == pytest.approx(31.93, abs=0.01)
-        assert r.v_arr_mps == pytest.approx(0.3132, abs=1e-4)
+    e = sample_ensemble(FC, 1e-15, CESIUM_MASS_KG, 100, seed=5)
+    for t_arr_ms, v_arr in zip(e.t_arr_ms, e.v_arr_mps):
+        assert t_arr_ms == pytest.approx(31.93, abs=0.01)
+        assert v_arr == pytest.approx(0.3132, abs=1e-4)
 
 
 def test_ensemble_determinism():
@@ -132,32 +132,64 @@ def test_ensemble_validation():
 def test_timing_jitter_perturbs_only_arrival_times():
     clean = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 500, seed=7)
     jittered = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 500, seed=7, timing_jitter_s=2e-3)
-    assert [r.v0_mps for r in jittered] == [r.v0_mps for r in clean]
-    assert [r.v_arr_mps for r in jittered] == [r.v_arr_mps for r in clean]
-    dt = np.array([j.t_arr_ms - c.t_arr_ms for j, c in zip(jittered, clean)])
+    assert np.array_equal(jittered.v0_mps, clean.v0_mps)
+    assert np.array_equal(jittered.v_arr_mps, clean.v_arr_mps)
+    dt = jittered.t_arr_ms - clean.t_arr_ms
     assert np.std(dt) == pytest.approx(2.0, rel=0.2)
     # zero jitter reproduces the clean path exactly
     assert sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 500, seed=7, timing_jitter_s=0.0) == clean
 
 
 def _reference_ensemble(temperature_k, n, seed, timing_jitter_s=0.0):
-    """The per-atom record loop that sample_ensemble's column blocks replaced."""
+    """The per-atom loop that sample_ensemble's columns replaced: one
+    (v0, t_arr in ms, v_arr) row of Python floats per atom."""
     rng = np.random.default_rng(seed)
     v0 = rng.normal(0.0, math.sqrt(K_BOLTZMANN * temperature_k / CESIUM_MASS_KG), n)
     t_arr, v_arr = arrival_from_initial(FC, v0)
     if timing_jitter_s > 0:
         t_arr = t_arr + rng.normal(0.0, timing_jitter_s, n)
-    return [EnsembleRecord(float(v), float(t * 1e3), float(va)) for v, t, va in zip(v0, t_arr, v_arr)]
+    return [(float(v), float(t * 1e3), float(va)) for v, t, va in zip(v0, t_arr, v_arr)]
 
 
 @pytest.mark.parametrize("timing_jitter_s", [0.0, 2e-3])
-def test_ensemble_blocks_match_the_per_atom_reference(monkeypatch, timing_jitter_s):
-    # blocks of 4 atoms: 11 atoms end in a partial block
-    monkeypatch.setattr(kinematics, "_RECORD_BLOCK", 4)
-    for n in (1, 4, 11):
-        records = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, n, seed=n, timing_jitter_s=timing_jitter_s)
-        assert records == _reference_ensemble(186e-6, n, n, timing_jitter_s)
-        assert all(type(r) is EnsembleRecord and all(type(v) is float for v in r) for r in records)
+def test_ensemble_columns_match_the_per_atom_reference(timing_jitter_s):
+    for n in (1, 11, 5000):
+        e = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, n, seed=n, timing_jitter_s=timing_jitter_s)
+        reference = np.array(_reference_ensemble(186e-6, n, n, timing_jitter_s)).T
+        for column, expected in zip((e.v0_mps, e.t_arr_ms, e.v_arr_mps), reference):
+            assert column.dtype == np.float64 and column.shape == (n,)
+            assert column.tobytes() == expected.tobytes()  # bit for bit, -0.0 included
+
+
+def test_ensemble_columns_are_read_only_and_compare_by_value():
+    v0 = np.array([0.1, -0.2, 0.0])
+    e = Ensemble(v0, [31.0, 50.0, 31.9], [0.4, 0.5, 0.31])
+    assert len(e) == 3
+    v0[0] = 9.0  # the ensemble holds its own copy
+    assert e.v0_mps[0] == 0.1 and v0.flags.writeable
+    for column in (e.v0_mps, e.t_arr_ms, e.v_arr_mps):
+        assert column.dtype == np.float64 and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        e.v0_mps = np.zeros(3)
+    same = Ensemble([0.1, -0.2, 0.0], np.array([31.0, 50.0, 31.9]), (0.4, 0.5, 0.31))
+    assert (e == same) is True and (e != same) is False
+    other = Ensemble([0.1, -0.2, np.nextafter(0.0, 1.0)], [31.0, 50.0, 31.9], [0.4, 0.5, 0.31])
+    assert (e == other) is False and e != other
+    rows = [(0.1, 31.0, 0.4), (-0.2, 50.0, 0.5), (0.0, 31.9, 0.31)]
+    assert (e == rows) is False and (e == []) is False and e != (e.v0_mps, e.t_arr_ms, e.v_arr_mps)
+    assert Ensemble([], [], []) == Ensemble([], [], []) and len(Ensemble([], [], [])) == 0
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [([0.1, 0.2], [31.0], [0.4, 0.5]), ([0.1], [31.0], [0.4, 0.5]), ([[0.1]], [[31.0]], [[0.4]]), (0.1, 31.0, 0.4)],
+    ids=["short-t", "short-v0", "two-dimensional", "scalars"],
+)
+def test_ensemble_rejects_columns_of_unequal_length_or_shape(columns):
+    with pytest.raises(ValueError, match="one-dimensional and of equal length"):
+        Ensemble(*columns)
 
 
 def test_timing_jitter_inflates_inferred_temperature():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cavity_transit import (
-    EnsembleRecord,
+    Ensemble,
     FallConfig,
     FitResult,
     arrival_from_initial,
@@ -21,36 +21,37 @@ from cavity_transit.thermometry import records_from_fits
 FC = FallConfig()
 
 
-def _record(v0):
+def _ensemble(v0s):
+    v0 = np.array(v0s, dtype=float)
     t_arr, v_arr = arrival_from_initial(FC, v0)
-    return EnsembleRecord(v0, t_arr * 1e3, v_arr)
+    return Ensemble(v0, t_arr * 1e3, v_arr)
 
 
 def test_cold_ensemble_collapses_onto_free_fall_point():
-    records = sample_ensemble(FC, 1e-12, CESIUM_MASS_KG, 500, seed=1)
-    centers, means = v_shape_curve(records, n_bins=10)
+    ensemble = sample_ensemble(FC, 1e-12, CESIUM_MASS_KG, 500, seed=1)
+    centers, means = v_shape_curve(ensemble, n_bins=10)
     assert np.all(np.abs(centers - 31.93) < 1e-2)
     assert np.all(np.abs(means - 0.3132) < 1e-4)
 
 
 def test_symmetric_velocity_pair():
-    records = [_record(+0.28), _record(-0.28)]
-    centers, means = v_shape_curve(records, n_bins=2)
+    ensemble = _ensemble([+0.28, -0.28])
+    centers, means = v_shape_curve(ensemble, n_bins=2)
     assert centers == pytest.approx([28.6, 57.1], abs=0.5)  # bin centers of [14.3, 71.4]
     assert means == pytest.approx([0.42, 0.42], abs=1e-3)
 
 
 def test_v_curve_minimum_near_free_fall_time():
-    records = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 10_000, seed=4)
-    centers, means = v_shape_curve(records, n_bins=64)
+    ensemble = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 10_000, seed=4)
+    centers, means = v_shape_curve(ensemble, n_bins=64)
     assert len(centers) >= 20
     i_min = int(np.argmin(means))
     assert centers[i_min] == pytest.approx(31.9, abs=1.0)
 
 
 def test_v_curve_has_single_strict_minimum():
-    records = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 10_000, seed=8)
-    centers, means = v_shape_curve(records, n_bins=30)
+    ensemble = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 10_000, seed=8)
+    centers, means = v_shape_curve(ensemble, n_bins=30)
     assert len(centers) >= 20
     interior_minima = np.where((means[1:-1] < means[:-2]) & (means[1:-1] < means[2:]))[0]
     assert len(interior_minima) == 1
@@ -58,42 +59,37 @@ def test_v_curve_has_single_strict_minimum():
 
 
 def test_v_shape_validation():
-    records = [_record(0.0)] * 50
     with pytest.raises(ValueError, match="single bin"):
-        v_shape_curve(records, n_bins=10)
+        v_shape_curve(_ensemble([0.0] * 50), n_bins=10)
     with pytest.raises(ValueError):
-        v_shape_curve([_record(0.1), _record(-0.1)], n_bins=1)
+        v_shape_curve(_ensemble([0.1, -0.1]), n_bins=1)
 
 
 def test_estimator_matches_synthesized_spread():
-    records = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 200_000, seed=12)
-    est = estimate_temperature(records, FC, CESIUM_MASS_KG)
+    ensemble = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 200_000, seed=12)
+    est = estimate_temperature(ensemble, FC, CESIUM_MASS_KG)
     assert est.temperature_k == pytest.approx(186e-6, abs=3 * est.sigma_t_k)
     assert est.n_used == 200_000
-    t_all = [r.t_arr_ms for r in records]
-    assert min(t_all) <= est.t_min_ms <= max(t_all)
+    assert ensemble.t_arr_ms.min() <= est.t_min_ms <= ensemble.t_arr_ms.max()
 
 
 def test_estimator_sigma_formula():
-    records = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 1000, seed=3)
-    est = estimate_temperature(records, FC, CESIUM_MASS_KG)
+    ensemble = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 1000, seed=3)
+    est = estimate_temperature(ensemble, FC, CESIUM_MASS_KG)
     assert est.sigma_t_k == pytest.approx(est.temperature_k * math.sqrt(2.0 / 999.0), rel=1e-12)
 
 
 def test_initial_velocity_inversion_is_exact():
-    records = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 1000, seed=6)
-    v_arr = np.array([r.v_arr_mps for r in records])
-    t_arr = np.array([r.t_arr_ms for r in records]) * 1e-3
-    v0 = v_arr - FC.gravity_mps2 * t_arr
-    truth = np.array([r.v0_mps for r in records])
-    assert np.max(np.abs(v0 - truth)) < 1e-12
+    ensemble = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 1000, seed=6)
+    v0 = ensemble.v_arr_mps - FC.gravity_mps2 * (ensemble.t_arr_ms * 1e-3)
+    assert np.max(np.abs(v0 - ensemble.v0_mps)) < 1e-12
 
 
 def test_thousand_atom_estimates_cluster_at_truth():
     hits = 0
     for seed in range(50):
-        records = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 1000, seed=seed)
-        est = estimate_temperature(records, FC, CESIUM_MASS_KG)
+        ensemble = sample_ensemble(FC, 186e-6, CESIUM_MASS_KG, 1000, seed=seed)
+        est = estimate_temperature(ensemble, FC, CESIUM_MASS_KG)
         hits += abs(est.temperature_k - 186e-6) <= 20e-6
     assert hits >= 45
 
@@ -118,25 +114,41 @@ def test_round_trip_coverage():
 
 def test_estimate_requires_samples_and_spread():
     with pytest.raises(ValueError, match="at least 10"):
-        estimate_temperature([_record(0.1)] * 5, FC, CESIUM_MASS_KG)
+        estimate_temperature(_ensemble([0.1] * 5), FC, CESIUM_MASS_KG)
     with pytest.raises(ValueError, match="zero velocity variance"):
-        estimate_temperature([_record(0.1)] * 50, FC, CESIUM_MASS_KG)
+        estimate_temperature(_ensemble([0.1] * 50), FC, CESIUM_MASS_KG)
 
 
 @pytest.mark.parametrize("mass_kg", [0.0, math.nan, math.inf])
 def test_estimate_rejects_an_atom_mass_that_is_not_positive_and_finite(mass_kg):
-    records = [_record(v0) for v0 in np.linspace(-0.2, 0.2, 50)]
     with pytest.raises(ValueError, match="atom_mass_kg must be positive and finite"):
-        estimate_temperature(records, FC, mass_kg)
+        estimate_temperature(_ensemble(np.linspace(-0.2, 0.2, 50)), FC, mass_kg)
 
 
-@pytest.mark.parametrize("field", ["t_arr_ms", "v_arr_mps"])
+def _columns(v0s):
+    e = _ensemble(v0s)
+    return {"v0_mps": e.v0_mps.copy(), "t_arr_ms": e.t_arr_ms.copy(), "v_arr_mps": e.v_arr_mps.copy()}
+
+
+@pytest.mark.parametrize("field", ["t_arr_ms", "v_arr_mps", "v0_mps"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_estimate_rejects_a_non_finite_record_by_field(field, value):
-    records = [_record(v0) for v0 in np.linspace(-0.2, 0.2, 50)]
-    records[17] = records[17]._replace(**{field: value})
+    # the ensemble is checked once, when it is built, so no estimate starts
+    columns = _columns(np.linspace(-0.2, 0.2, 50))
+    columns[field][17] = value
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
-        estimate_temperature(records, FC, CESIUM_MASS_KG)
+        estimate_temperature(Ensemble(**columns), FC, CESIUM_MASS_KG)
+
+
+def test_ensemble_names_the_first_non_finite_column_in_a_fixed_order():
+    columns = _columns(np.linspace(-0.2, 0.2, 50))
+    columns["v0_mps"][3] = math.inf
+    columns["t_arr_ms"][40] = math.nan
+    with pytest.raises(ValueError, match="^t_arr_ms must be finite, got nan$"):
+        Ensemble(**columns)
+    columns["v_arr_mps"][45] = -math.inf
+    with pytest.raises(ValueError, match="^v_arr_mps must be finite, got -inf$"):
+        Ensemble(**columns)
 
 
 def test_records_from_fits_pairs_speed_with_arrival_time():
@@ -153,7 +165,19 @@ def test_records_from_fits_pairs_speed_with_arrival_time():
         converged=True,
         n_evals=100,
     )
-    (rec,) = records_from_fits([fit], FC)
-    assert rec.v_arr_mps == v_arr
-    assert rec.t_arr_ms == pytest.approx(t_arr * 1e3, rel=1e-12)
-    assert rec.v0_mps == pytest.approx(0.12, rel=1e-9)
+    ensemble = records_from_fits([fit], FC)
+    assert len(ensemble) == 1
+    assert ensemble.v_arr_mps[0] == v_arr
+    assert ensemble.t_arr_ms[0] == pytest.approx(t_arr * 1e3, rel=1e-12)
+    assert ensemble.v0_mps[0] == pytest.approx(0.12, rel=1e-9)
+
+
+def test_records_from_fits_matches_the_per_fit_arithmetic():
+    fits = [
+        FitResult(0.0, v, t, 0.1, 0.005, 1e-6, -100.0, -150.0, True, 1)
+        for v, t in [(0.31, 0.0319), (0.45, 0.0171), (0.2, 0.052), (1, 0)]
+    ]
+    g = FC.gravity_mps2
+    expected = [(f.v_mps - g * f.t_c_s, f.t_c_s * 1e3, f.v_mps) for f in fits]
+    ensemble = records_from_fits(fits, FC)
+    assert list(zip(*(c.tolist() for c in (ensemble.v0_mps, ensemble.t_arr_ms, ensemble.v_arr_mps)))) == expected
