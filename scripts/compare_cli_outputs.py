@@ -3,37 +3,41 @@
 output files whose bytes differ.
 
 Each tree's commands run in one fresh interpreter that imports
-`cavity_transit` from that tree alone: mode images (the default TEM10 and
-a 37 x 37 TEM21 at 30 degrees), position and frequency scans (one with
-the cavity detuned from the atom by delta_ca = 3 MHz), fixed-coupling
-scans (g = 20.5 MHz, and an empty cavity at delta_ca = 0 and at 3 MHz),
-degeneracy, ensembles with and without timing jitter, thermometry from
-each ensemble and from fits, thermometry from a hand-written ensemble that
-`np.loadtxt` refuses (an underscore in a value, a whitespace-only line and
-CRLF line ends), so that it is read row by row, 12 transits with
-background, a single fit and a batch fit.  One transit reads a config file (`run.cfg`: a seed
-and a tilt), overrides a key by flag and dumps its effective configuration
-to `dump.cfg`, which is compared like its trace.  Eighteen bad-input
-commands follow: a one-sample and a reversed fixed-coupling scan, a fit of
-a malformed trace, a fit of a good trace with a zero empty-cavity rate,
-thermometry over a fit directory whose one fit JSON lacks `v_mps`, over
-two directories of 12 fits of which one has a NaN `v_mps` or an infinite
-`t_c_s`, and over an ensemble with one infinite arrival time, two transits that argparse
-refuses (one with a non-numeric value and one with an unknown flag), a
-position scan at y = NaN, a detuning scan at x = NaN, fixed-coupling scans
-at g = NaN and g = inf, and mode images with a NaN or negative extent and
-with 0 and 1 samples.  Last come the top-level `--help` and
-`transit --help`.  The exit code of every command (the code of a SystemExit, or 1
-for an exception the CLI does not catch) is written to `exit_codes.txt`,
-whatever it printed to stderr to `stderr.txt` and to stdout (the help
-texts) to `stdout.txt`, with the tree's `src` path replaced by `<src>` so
-that the same warning from two trees reads the same.  These files are
-compared like any other output, and their differing lines are printed.
-For a differing CSV with the same row count, the number of differing rows
-and the largest relative difference of its numeric fields are printed too;
-for a differing JSON file with the same keys (nested keys joined by dots),
-the differing keys and the largest relative difference of their values
-(inf where a value is not a number).
+`cavity_transit` from that tree alone: mode images (the default TEM10, a
+21 x 21 TEM10 and a 37 x 37 TEM21 at 30 degrees), position and frequency
+scans (one with the cavity detuned from the atom by delta_ca = 3 MHz),
+fixed-coupling scans (g = 20.5 MHz, and an empty cavity at delta_ca = 0 and
+at 3 MHz), degeneracy, ensembles with and without timing jitter, thermometry
+from each ensemble and from fits, thermometry from a hand-written ensemble
+that `np.loadtxt` refuses (an underscore in a value, a whitespace-only line
+and CRLF line ends), so that it is read row by row, 12 transits with
+background, a single fit and a batch fit.  One transit reads a config file
+(`run.cfg`: a seed and a tilt), overrides a key by flag and dumps its
+effective configuration to `dump.cfg`, which is compared like its trace.
+Three commands then write again over files that earlier ones wrote, with
+other contents, so that the writer's replace path runs: a single fit, the
+21 x 21 mode image (its CSV and its SVG, now untilted) and a transit's
+config dump.  Nineteen bad-input commands follow: a one-sample and a
+reversed fixed-coupling scan, a fit of a malformed trace, a fit of a good
+trace with a zero empty-cavity rate, thermometry over a fit directory whose
+one fit JSON lacks `v_mps`, over two directories of 12 fits of which one has
+a NaN `v_mps` or an infinite `t_c_s`, and over an ensemble with one infinite
+arrival time, two transits that argparse refuses (one with a non-numeric
+value and one with an unknown flag), a position scan at y = NaN, a detuning
+scan at x = NaN, fixed-coupling scans at g = NaN and g = inf, mode images
+with a NaN or negative extent and with 0 and 1 samples, and a mode image
+whose `--out` ends in `.svg`, where its heatmap would go.  Last come the
+top-level `--help` and `transit --help`.  The exit code of every command
+(the code of a SystemExit, or 1 for an exception the CLI does not catch) is
+written to `exit_codes.txt`, whatever it printed to stderr to `stderr.txt`
+and to stdout (the help texts) to `stdout.txt`, with the tree's `src` path
+replaced by `<src>` so that the same warning from two trees reads the same.
+These files are compared like any other output, and their differing lines
+are printed.  For a differing CSV with the same row count, the number of
+differing rows and the largest relative difference of its numeric fields are
+printed too; for a differing JSON file with the same keys (nested keys
+joined by dots), the differing keys and the largest relative difference of
+their values (inf where a value is not a number).
 
 Each interpreter runs the command list twice, into a `first` and a `second`
 directory, so that the second pass runs on whatever the first left in the
@@ -68,6 +72,7 @@ COMMANDS = [
         "mode-image", "--mode-m=2", "--mode-n=1", "--tilt-deg=30", "--samples=37", "--extent-um=40",
         "--out=mode_image_tem21.csv",
     ],
+    ["mode-image", "--samples=21", "--extent-um=30", "--out=mode_image_small.csv"],
     ["scan", "--axis=pos", "--y=0", "--out=scan_pos_y0.csv"],
     ["scan", "--axis=pos", "--y=-16.3", "--out=scan_pos_y-16.3.csv"],
     ["scan", "--axis=freq", "--out=scan_freq_node.csv"],
@@ -98,6 +103,13 @@ COMMANDS = [
     ["fit", "--trace=traces", BACKGROUND, "--out=fits"],
     ["thermometry", "--fits=fits", "--out=temperature_fits.json"],
     ["thermometry", "--ensemble=rowwise_ensemble.csv", "--out=temperature_rowwise.json"],
+    # write again over files written above
+    ["fit", "--trace=traces/release_01.csv", BACKGROUND, "--out=fit_single.json"],
+    ["mode-image", "--samples=21", "--extent-um=30", "--tilt-deg=0", "--out=mode_image_small.csv"],
+    [
+        "transit", "--config=run.cfg", "--y=18", "--v=0.42", "--flux0-cps=3e6",
+        "--dump-config=dump.cfg", "--out=trace_config_2.csv",
+    ],
     # bad input: these must fail with exit code 2 and a message on stderr
     ["scan", "--axis=freq", "--g=5", "--samples=1", "--out=bad_scan_one_sample.csv"],
     ["scan", "--axis=freq", "--g=5", "--delta-min=5", "--delta-max=-5", "--out=bad_scan_reversed.csv"],
@@ -117,6 +129,7 @@ COMMANDS = [
     ["mode-image", "--samples=0", "--out=bad_mode_image_0.csv"],
     ["mode-image", "--samples=1", "--out=bad_mode_image_1.csv"],
     ["mode-image", "--extent-um=-5", "--out=bad_mode_image_negative.csv"],
+    ["mode-image", "--samples=5", "--out=bad_mode_image.svg"],
     # help: exit code 0 and the text on stdout
     ["--help"],
     ["transit", "--help"],

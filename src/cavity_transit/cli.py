@@ -82,9 +82,11 @@ def cmd_mode_image(args, rc: RunConfig) -> int:
     mp = lab_to_mode(LabPoint(xx, yy, 0.0), cfg.geometry.tilt_deg)
     intensity = mode_amplitude(cfg.mode, cfg.geometry, mp) ** 2
     out_csv = _out_path(rc, "mode_image.csv")
+    if (out_svg := out_csv.with_suffix(".svg")) == out_csv:
+        raise ConfigError(f"--out {out_csv} is where the SVG heatmap goes; give the CSV another suffix")
     fileio.write_mode_image_csv(out_csv, x, y, intensity)
     title = f"|psi|^2 TEM{cfg.mode.m}{cfg.mode.n} tilt {cfg.geometry.tilt_deg:g} deg"
-    heatmap_svg(out_csv.with_suffix(".svg"), x, y, intensity, "x (um)", "y (um)", title)
+    heatmap_svg(out_svg, x, y, intensity, "x (um)", "y (um)", title)
     return EXIT_OK
 
 

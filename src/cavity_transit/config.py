@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .detector import DetectorConfig
+from .fileio import _output
 from .kinematics import FallConfig
 from .modes import ModeGeometry, ModeIndex
 from .transmission import Detunings, Rates, SystemConfig
@@ -77,11 +78,10 @@ def load_run_config(path) -> RunConfig:
 
 def dump_run_config(path, rc: RunConfig) -> None:
     """Write the effective configuration; re-loading reproduces it exactly."""
-    lines = []
-    for f in fields(RunConfig):
-        v = getattr(rc, f.name)
-        lines.append(f"{f.name} = {v!r}" if isinstance(v, float) else f"{f.name} = {v}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _output(path) as f:
+        for key in fields(RunConfig):
+            v = getattr(rc, key.name)
+            f.write(f"{key.name} = {v!r}\n" if isinstance(v, float) else f"{key.name} = {v}\n")
 
 
 def apply_overrides(rc: RunConfig, overrides: dict) -> RunConfig:

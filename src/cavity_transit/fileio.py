@@ -5,7 +5,8 @@ the exact double that produced it.  Each CSV is a header line plus one row
 per record, written by `_write_csv` and streamed back by `_read_csv` (an
 ensemble is parsed by `np.loadtxt` first), which names the line of any
 malformed row.  JSON files hold the `dataclasses.asdict` form of a result,
-written by `_write_json`.
+written by `_write_json`.  Every output file, SVG and config dump included,
+is opened by `_output`, the package's one writer.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -23,7 +25,6 @@ import numpy as np
 from .detector import TransitTrace, _time_axis_fault
 from .kinematics import Ensemble
 from .reconstruct import FitResult
-from .svgplot import _grid
 from .thermometry import TemperatureEstimate
 
 _TRACE_HEADER = "t_s,expected_T,counts"
@@ -35,14 +36,13 @@ class CsvFormatError(ValueError):
     """Malformed CSV input; the message carries the offending line number."""
 
 
-def _write_csv(path, header: str, row_format: str, rows) -> None:
-    """Write the header line and then each row tuple formatted by
-    row_format, a `%` format ending in a newline, a block at a time.  A row
-    that fails to format leaves no partial file: a new file is removed, and
-    an existing regular file (through a symlink, its target) keeps its
-    bytes, as the rows go to a temporary file beside it that replaces it
-    only once all are written.  A FIFO or a device such as /dev/stdout is
-    written in place."""
+@contextmanager
+def _output(path):
+    """Open path for writing as a text file and yield it.  A block that
+    fails leaves no partial file: a new file is removed, and an existing
+    regular file (through a symlink, its target) keeps its bytes, as the
+    block writes a temporary file beside it that replaces it once closed.
+    A FIFO or a device such as /dev/stdout is written in place."""
     path, target = Path(path), None
     try:
         # the exclusive create that tells a new file from an existing one is
@@ -57,18 +57,33 @@ def _write_csv(path, header: str, row_format: str, rows) -> None:
         else:  # a FIFO, a device, or a symlink to no file yet, which this creates
             remove = None if path.exists() else Path(os.path.realpath(path))
             f = path.open("w")
-    rows = iter(rows)
     try:
         with f:
-            f.write(header + "\n")
-            while block := "".join(map(row_format.__mod__, islice(rows, _WRITE_BLOCK))):
-                f.write(block)
+            yield f
         if target is not None:
             os.replace(remove, target)
     except BaseException:
         if remove is not None:
             remove.unlink(missing_ok=True)
         raise
+
+
+def _write_csv(path, header: str, row_format: str, rows) -> None:
+    """Write the header line and then each row tuple formatted by
+    row_format, a `%` format ending in a newline, a block at a time."""
+    rows = iter(rows)
+    with _output(path) as f:
+        f.write(header + "\n")
+        while block := "".join(map(row_format.__mod__, islice(rows, _WRITE_BLOCK))):
+            f.write(block)
+
+
+def _grid(x, y, z):
+    """x, y and z as float arrays; a ValueError unless z has shape (len(y), len(x))."""
+    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
+    if z.shape != (len(y), len(x)):
+        raise ValueError(f"z shape {z.shape} does not match ({len(y)}, {len(x)})")
+    return x, y, z
 
 
 def _read_csv(path, header: str, parse_row):
@@ -97,7 +112,8 @@ def _read_csv(path, header: str, parse_row):
 
 
 def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    with _output(path) as f:
+        f.write(json.dumps(obj, indent=2) + "\n")
 
 
 def write_scan_csv(path, axis_name: str, axis_values, transmissions) -> None:

@@ -107,14 +107,17 @@ def lab_to_mode(p: LabPoint, tilt_deg: float) -> ModePoint:
     return ModePoint(p.x * c + p.y * s, -p.x * s + p.y * c, p.z)
 
 
+def _order_norm(idx: ModeIndex) -> float:
+    return 2.0 ** idx.m * 2.0 ** idx.n * math.factorial(idx.m) * math.factorial(idx.n)
+
+
 def normalization_constant(idx: ModeIndex, geo: ModeGeometry) -> float:
     """Transverse normalization C_{m,n} in 1/um.
 
     C_{m,n} = (2^m 2^n m! n!)^(-1/2) (w0^2 pi / 2)^(-1/2), which makes the
     transverse integral of the squared mode function equal to one.
     """
-    order_norm = 2.0 ** idx.m * 2.0 ** idx.n * math.factorial(idx.m) * math.factorial(idx.n)
-    return 1.0 / math.sqrt(order_norm * geo.w0_um**2 * math.pi / 2.0)
+    return 1.0 / math.sqrt(_order_norm(idx) * geo.w0_um**2 * math.pi / 2.0)
 
 
 def mode_amplitude(idx: ModeIndex, geo: ModeGeometry, p: ModePoint):
@@ -131,8 +134,7 @@ def relative_amplitude(idx: ModeIndex, geo: ModeGeometry, p: ModePoint):
     Psi_{m,n}(p) / Psi_{0,0}(0, 0, 0).  For TEM10 this reduces to
     (2 x/w0) exp(-(x^2+y^2)/w0^2) cos(2 pi z/lambda).
     """
-    order_norm = 2.0 ** idx.m * 2.0 ** idx.n * math.factorial(idx.m) * math.factorial(idx.n)
-    return _envelope(idx, geo, p) / math.sqrt(order_norm)
+    return _envelope(idx, geo, p) / math.sqrt(_order_norm(idx))
 
 
 def effective_coupling(g0: float, idx: ModeIndex, geo: ModeGeometry, p: ModePoint):

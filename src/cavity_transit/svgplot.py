@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
+
+from .fileio import _grid, _output
 
 # coarse viridis anchors, interpolated linearly
 _ANCHORS = np.array(
     [(68, 1, 84), (71, 44, 122), (59, 81, 139), (44, 113, 142), (33, 144, 141),
      (39, 173, 129), (92, 200, 99), (170, 220, 50), (253, 231, 37)]
 )
-
-
-def _grid(x, y, z):
-    """x, y and z as float arrays; a ValueError unless z has shape (len(y), len(x))."""
-    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
-    if z.shape != (len(y), len(x)):
-        raise ValueError(f"z shape {z.shape} does not match ({len(y)}, {len(x)})")
-    return x, y, z
 
 
 def _escape(text: str) -> str:
@@ -68,7 +60,7 @@ def heatmap_svg(path, x, y, z, xlabel: str, ylabel: str, title: str = "") -> Non
     if title:
         axes.append(f'<text x="{width / 2}" y="{margin - 14}" {axis_font} text-anchor="middle">{title}</text>')
     # written a row at a time, so no string of the whole file is held
-    with Path(path).open("w") as f:
+    with _output(path) as f:
         f.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}">\n<rect width="{width}" height="{height}" fill="white"/>\n'

@@ -575,6 +575,14 @@ def test_mode_image_nodal_line_at_45_degrees(tmp_path):
     assert abs(angle - 45.0) <= 1.0
 
 
+def test_mode_image_refuses_an_svg_out(tmp_path, capsys):
+    # the heatmap goes to the CSV's .svg sibling, which here is the CSV itself
+    out = tmp_path / "mode.svg"
+    assert run("mode-image", "--samples", 5, "--out", out) == 2
+    assert f"--out {out} is where the SVG heatmap goes" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mode_image_tem00_is_circularly_symmetric(tmp_path):
     # iso-level radii of the underlying field, located by root finding
     geo = ModeGeometry(tilt_deg=45.0)

@@ -1,13 +1,17 @@
 """Wire-format round trips: every file must reload to the exact values."""
 
+import errno
 import json
 import math
 import os
 import re
 import stat
+import subprocess
+import sys
 import threading
 import xml.etree.ElementTree as ET
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,7 @@ from cavity_transit.svgplot import heatmap_svg
 
 CFG = SystemConfig()
 DET = DetectorConfig()
+FIT = FitResult(1.5, 0.42, 2e-5, 0.25, 0.005, 1e-6, -210.5, -240.25, True, 380)
 
 
 def test_sampled_trace_round_trips_exactly(tmp_path):
@@ -472,6 +477,8 @@ def test_csv_writer_writes_through_symlinks_and_names_the_path_on_error(tmp_path
     link.symlink_to(target)
     write_scan_csv(link, "x_um", [1.0], [2.0])
     assert link.is_symlink() and target.read_text() == "x_um,T\n1,2\n"
+    write_fit_json(link, FIT)
+    assert link.is_symlink() and read_fit_json(target) == FIT
     # a failed write through a dangling symlink leaves the link and no file
     dangling = tmp_path / "dangling.csv"
     dangling.symlink_to(tmp_path / "absent.csv")
@@ -485,15 +492,64 @@ def test_csv_writer_writes_through_symlinks_and_names_the_path_on_error(tmp_path
 
 def test_csv_writer_writes_a_fifo_in_place(tmp_path):
     # a FIFO, like /dev/stdout, cannot be replaced by a file
-    fifo = tmp_path / "out.fifo"
+    fifo, svg = tmp_path / "out.fifo", tmp_path / "map.svg"
     os.mkfifo(fifo)
-    read = []
-    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
-    reader.start()
-    write_scan_csv(fifo, "x_um", [1.0], [2.0])
-    reader.join(timeout=10)
-    assert read == ["x_um,T\n1,2\n"]
-    assert stat.S_ISFIFO(fifo.stat().st_mode) and sorted(tmp_path.iterdir()) == [fifo]
+    heatmap_svg(svg, [0.0, 1.0], [0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]], "x", "y")
+    writes = [
+        (lambda: write_scan_csv(fifo, "x_um", [1.0], [2.0]), "x_um,T\n1,2\n"),
+        (lambda: heatmap_svg(fifo, [0.0, 1.0], [0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]], "x", "y"), svg.read_text()),
+    ]
+    for write, expected in writes:
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+        reader.start()
+        write()
+        reader.join(timeout=10)
+        assert read == [expected]
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and sorted(tmp_path.iterdir()) == [svg, fifo]
+
+
+# Run in a child process whose file-size limit is lowered, so that each write
+# stops part way as on a full disk; argv is (src, directory).  Each writer
+# writes over the file of its name and to a new file beside it.
+_CUT_SHORT_WRITES = """
+import resource, signal, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from cavity_transit.config import RunConfig, dump_run_config
+from cavity_transit.fileio import write_fit_json, write_scan_csv
+from cavity_transit.reconstruct import FitResult
+from cavity_transit.svgplot import heatmap_svg
+
+fit = FitResult(1.5, 0.42, 2e-5, 0.25, 0.005, 1e-6, -210.5, -240.25, True, 380)
+writers = {
+    "fit.json": lambda path: write_fit_json(path, fit),
+    "map.svg": lambda path: heatmap_svg(path, [0.0, 1.0], [0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]], "x", "y"),
+    "run.cfg": lambda path: dump_run_config(path, RunConfig()),
+    "scan.csv": lambda path: write_scan_csv(path, "x_um", range(20), range(20)),
+}
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (100, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+for name, write in writers.items():
+    for path in (Path(sys.argv[2], name), Path(sys.argv[2], "new_" + name)):
+        try:
+            write(path)
+            print(path.name, "written")
+        except OSError as exc:
+            print(path.name, exc.errno)
+"""
+
+
+def test_a_write_cut_short_keeps_the_old_file_and_leaves_no_other(tmp_path):
+    # one child for every case, as importing the package takes about 0.3 s
+    names = ["fit.json", "map.svg", "run.cfg", "scan.csv"]
+    for name in names:
+        (tmp_path / name).write_bytes(b"old\n")
+    src = str(Path(fileio.__file__).parent.parent)
+    child = [sys.executable, "-c", _CUT_SHORT_WRITES, src, str(tmp_path)]
+    out = subprocess.run(child, check=True, capture_output=True, text=True).stdout
+    assert out.splitlines() == [f"{new}{name} {errno.EFBIG}" for name in names for new in ("", "new_")]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == dict.fromkeys(names, b"old\n")
 
 
 def test_csv_writers_write_the_header_alone_for_no_rows(tmp_path):
